@@ -143,21 +143,20 @@ class Aurum:
 
         # Graph construction: LSH self-join of *every* attribute against the
         # indexes — the all-pairs edge materialisation that dominates
-        # Aurum's indexing cost.
-        all_attrs = attrs.select("attr_id")
-        edge_parts = [
-            idx.lookup(all_attrs, min_similarity=cfg.edge_threshold)
-            for idx in (idx_name, idx_content, idx_tfidf)
-        ]
-        union = edge_parts[0]
-        for p in edge_parts[1:]:
-            union = union.unionByName(p)
+        # Aurum's indexing cost. One tagged lookup serves both the edges and
+        # the PK/FK candidates, each filtered to its own threshold.
+        hits = lsh.lookup(
+            {"name": idx_name, "content": idx_content, "tfidf": idx_tfidf},
+            attrs.select("attr_id"),
+            min_similarity=min(cfg.edge_threshold, cfg.pkfk_threshold),
+        ).cache()
         q_meta = attrs.select(
             F.col("attr_id").alias("query_attr"), F.col("table").alias("q_table")
         )
         s_meta = attrs.select("attr_id", F.col("table").alias("s_table"))
         edges = (
-            union.groupBy("query_attr", "attr_id")
+            hits.where(F.col("similarity") >= cfg.edge_threshold)
+            .groupBy("query_attr", "attr_id")
             .agg(F.max("similarity").alias("similarity"))  # certainty = max
             .join(q_meta, "query_attr")
             .join(s_meta, "attr_id")
@@ -174,12 +173,16 @@ class Aurum:
             .set_index("attr_id")["uniqueness"]
         )
         content_pairs = (
-            idx_content.lookup(all_attrs, min_similarity=cfg.pkfk_threshold)
+            hits.where(
+                (F.col("evidence") == "content") & (F.col("similarity") >= cfg.pkfk_threshold)
+            )
+            .select("query_attr", "attr_id", "similarity")
             .join(q_meta, "query_attr")
             .join(s_meta, "attr_id")
             .where(F.col("q_table") != F.col("s_table"))
             .toPandas()
         )
+        hits.unpersist()
         keep = [
             max(uniq.get(q, 0.0), uniq.get(s, 0.0)) >= cfg.pk_uniqueness
             for q, s in zip(content_pairs["query_attr"], content_pairs["attr_id"])

@@ -16,13 +16,13 @@ distant), matching §III-D ("otherwise that measurement is set to 1").
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
 from pyspark.sql.types import DoubleType
+
+from repro.lake.tables import table_of
 
 EVIDENCE_TYPES = ("n", "v", "f", "e", "d")
 
@@ -68,41 +68,23 @@ def numeric_extents(cells: DataFrame) -> DataFrame:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LookupResults:
-    """Raw per-index lookup results, each ``(query_attr, attr_id, similarity)``."""
+def evidence_distances(hits: DataFrame) -> DataFrame:
+    """Pivot tagged lookup hits ``(evidence, query_attr, attr_id,
+    similarity)`` into one row per pair with distances ``d_n, d_v, d_f,
+    d_e`` (evidence that did not retrieve the pair -> 1.0).
 
-    n: DataFrame
-    v: DataFrame
-    f: DataFrame
-    e: DataFrame
-
-
-def merge_lookups(lookups: LookupResults) -> DataFrame:
-    """Full-outer merge of the four lookups into one pair table with
-    distances ``d_n, d_v, d_f, d_e`` (missing evidence -> 1.0)."""
-
-    def _dist(df: DataFrame, name: str, *, cosine: bool) -> DataFrame:
-        sim = F.col("similarity")
-        if cosine:
-            # cosine similarity in [-1, 1] -> distance clamped to [0, 1]
-            d = F.least(F.lit(1.0), F.lit(1.0) - sim)
-        else:
-            d = F.lit(1.0) - sim
-        return df.select(
-            "query_attr", "attr_id", F.greatest(F.lit(0.0), d).alias(name)
-        )
-
-    parts = [
-        _dist(lookups.n, "d_n", cosine=False),
-        _dist(lookups.v, "d_v", cosine=False),
-        _dist(lookups.f, "d_f", cosine=False),
-        _dist(lookups.e, "d_e", cosine=True),
-    ]
-    merged = parts[0]
-    for p in parts[1:]:
-        merged = merged.join(p, ["query_attr", "attr_id"], "full_outer")
-    return merged.fillna(1.0, subset=["d_n", "d_v", "d_f", "d_e"])
+    A distance is ``1 - similarity`` clamped to [0, 1] (cosine similarity
+    lies in [-1, 1]). Since no distance exceeds 1, the minimum over a pair's
+    rows with 1.0 for every other evidence is exactly that evidence's
+    distance.
+    """
+    d = F.greatest(F.lit(0.0), F.least(F.lit(1.0), F.lit(1.0) - F.col("similarity")))
+    return hits.groupBy("query_attr", "attr_id").agg(
+        *[
+            F.min(F.when(F.col("evidence") == t, d).otherwise(F.lit(1.0))).alias(f"d_{t}")
+            for t in EVIDENCE_TYPES[:4]
+        ]
+    )
 
 
 def attach_tables(pairs: DataFrame, attrs: DataFrame) -> DataFrame:
@@ -160,18 +142,9 @@ def add_domain_distance(
 
     # Guard-1 pairs: numeric x numeric cross product within subject-related
     # table pairs. Table granularity keeps this tiny (few numeric attrs each).
-    from repro.lake.tables import SEP  # local import to avoid cycle
-
-    ext_tables_q = ext_q.withColumn(
-        "q_table", F.split(F.col("query_attr"), F.lit("\\|\\|")).getItem(0)
-    )
-    ext_tables_s = ext_s.withColumn(
-        "s_table", F.split(F.col("attr_id"), F.lit("\\|\\|")).getItem(0)
-    )
-    assert SEP == "||"
     guard1 = (
-        subj_pairs.join(ext_tables_q, "q_table")
-        .join(ext_tables_s, "s_table")
+        subj_pairs.join(ext_q.withColumn("q_table", table_of("query_attr")), "q_table")
+        .join(ext_s.withColumn("s_table", table_of("attr_id")), "s_table")
         .select("query_attr", "attr_id", "vals_q", "vals_s")
     )
 
@@ -197,12 +170,8 @@ def add_domain_distance(
     # Guard-1 rows may introduce pairs absent from `pairs`; fill their
     # metadata and default the four LSH distances to 1.0.
     out = out.withColumn(
-        "q_table",
-        F.coalesce(F.col("q_table"), F.split(F.col("query_attr"), F.lit("\\|\\|")).getItem(0)),
-    ).withColumn(
-        "s_table",
-        F.coalesce(F.col("s_table"), F.split(F.col("attr_id"), F.lit("\\|\\|")).getItem(0)),
-    )
+        "q_table", F.coalesce(F.col("q_table"), table_of("query_attr"))
+    ).withColumn("s_table", F.coalesce(F.col("s_table"), table_of("attr_id")))
     out = out.fillna(1.0, subset=["d_n", "d_v", "d_f", "d_e", "d_d"])
     out = out.fillna(True, subset=["q_numeric", "s_numeric"])
     return out.where(F.col("q_table") != F.col("s_table"))

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
 
+from repro.core import lsh
 from repro.core.ranking import D3L
+from repro.lake.tables import table_of
 
 
 def overlap_lower_bound(tau: float, size_a: int, size_b: int) -> float:
@@ -42,10 +44,10 @@ def sa_join_edges(d3l: D3L, *, tau: float | None = None) -> DataFrame:
     """
     tau = d3l.config.tau if tau is None else tau
     subj_attrs = d3l.subjects.select("attr_id")
-    hits = d3l.index_v.lookup(subj_attrs, min_similarity=tau)
+    hits = lsh.lookup({"v": d3l.index_v}, subj_attrs, min_similarity=tau)
     pairs = (
-        hits.withColumn("t1", F.split("query_attr", F.lit("\\|\\|")).getItem(0))
-        .withColumn("t2", F.split("attr_id", F.lit("\\|\\|")).getItem(0))
+        hits.withColumn("t1", table_of("query_attr"))
+        .withColumn("t2", table_of("attr_id"))
         .where(F.col("t1") != F.col("t2"))
     )
     # Normalise to undirected edges; either endpoint being a subject

@@ -1,25 +1,24 @@
-"""Banded LSH index over signature DataFrames, queried via similarity joins.
+"""Banded LSH indexes over signature DataFrames, queried via one similarity join.
 
 The paper uses LSH Forest with threshold tau = 0.7 and 256 hashes per index
 (§V footnote 5). We implement the classic banded equivalent: a signature of
 n positions is cut into ``b`` bands of ``r = n/b`` rows; two attributes are
-*candidates* iff they share at least one (band, band_hash) bucket. With
-b=32, r=8 the S-curve midpoint (1/b)^(1/r) ~= 0.65, matching the paper's
-tau; D3L's MinHash indexes use b=64, r=4 (midpoint ~0.35) because LSH
-Forest also *descends* to shorter prefixes until k answers are found, so
-mid-similarity items must be retrievable (see D3LConfig). For every
+*candidates* iff they share at least one (band, band_hash) bucket. Callers
+choose the banding (DESIGN.md §6; D3L's is in D3LConfig). For every
 candidate pair the full signatures are re-compared, giving the actual
 distance estimate that feeds Eqs. 1-3 — banding is only a blocking step,
 exactly the role LSH Forest plays in the paper.
 
-Everything is a DataFrame: the index is ``(attr_id, band, band_hash)``, a
-lookup is an equi-join on ``(band, band_hash)`` followed by a join back to
-the signature table — Catalyst plans both, so the "query the lake" step is
-literally a similarity join.
+Everything is a DataFrame: an index is ``(attr_id, band, band_hash)`` plus
+``(attr_id, sig)``. :func:`lookup` unions any number of indexes under an
+``evidence`` tag, so querying them all is one equi-join on ``(evidence,
+band, band_hash)`` plus one join back to the signatures — a single Catalyst
+plan, literally a similarity join.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import pandas as pd
@@ -28,9 +27,6 @@ from pyspark.sql import DataFrame
 from pyspark.sql.types import LongType, StringType, StructField, StructType
 
 from repro.core.hashing import fold_rows64
-
-#: Banding defaults chosen so the candidate threshold matches the paper's 0.7.
-DEFAULT_N_BANDS = 32
 
 _BANDS_SCHEMA = StructType(
     [
@@ -41,7 +37,7 @@ _BANDS_SCHEMA = StructType(
 )
 
 
-def band_hashes_df(signatures: DataFrame, *, n_bands: int = DEFAULT_N_BANDS) -> DataFrame:
+def band_hashes_df(signatures: DataFrame, *, n_bands: int) -> DataFrame:
     """Explode ``(attr_id, sig)`` into ``(attr_id, band, band_hash)`` rows."""
 
     def _bands(batch: pd.DataFrame) -> pd.DataFrame:
@@ -66,34 +62,6 @@ def band_hashes_df(signatures: DataFrame, *, n_bands: int = DEFAULT_N_BANDS) -> 
     return signatures.mapInPandas(lambda it: map(_bands, it), schema=_BANDS_SCHEMA)
 
 
-def _pair_similarity_df(
-    pairs: DataFrame, signatures: DataFrame, *, kind: str
-) -> DataFrame:
-    """Join full signatures onto ``(query_attr, attr_id)`` pairs and estimate
-    similarity: fraction of equal positions for ``kind='jaccard'``,
-    cos(pi * hamming) for ``kind='cosine'``."""
-    sig_q = signatures.select(
-        F.col("attr_id").alias("query_attr"), F.col("sig").alias("sig_q")
-    )
-    sig_s = signatures.select("attr_id", F.col("sig").alias("sig_s"))
-    joined = pairs.join(sig_q, "query_attr").join(sig_s, "attr_id")
-    eq_frac = (
-        F.aggregate(
-            F.zip_with("sig_q", "sig_s", lambda a, b: (a == b).cast("int")),
-            F.lit(0),
-            lambda acc, x: acc + x,
-        ).cast("double")
-        / F.size("sig_q").cast("double")
-    )
-    if kind == "jaccard":
-        sim = eq_frac
-    elif kind == "cosine":
-        sim = F.cos(F.lit(float(np.pi)) * (F.lit(1.0) - eq_frac))
-    else:  # pragma: no cover - guarded by LshIndex constructor
-        raise ValueError(f"unknown similarity kind: {kind}")
-    return joined.select("query_attr", "attr_id", sim.alias("similarity"))
-
-
 @dataclass
 class LshIndex:
     """One of the paper's four indexes (I_N, I_V, I_F, I_E).
@@ -110,7 +78,7 @@ class LshIndex:
 
     @staticmethod
     def build(
-        signatures: DataFrame, *, kind: str, n_bands: int = DEFAULT_N_BANDS, cache: bool = True
+        signatures: DataFrame, *, kind: str, n_bands: int, cache: bool = True
     ) -> "LshIndex":
         if kind not in ("jaccard", "cosine"):
             raise ValueError(f"unknown similarity kind: {kind}")
@@ -120,32 +88,66 @@ class LshIndex:
             bands = bands.cache()
         return LshIndex(signatures=signatures, bands=bands, kind=kind, n_bands=n_bands)
 
-    def lookup(self, query_attrs: DataFrame, *, min_similarity: float = 0.0) -> DataFrame:
-        """LSH lookup for a set of query attributes (themselves indexed).
-
-        ``query_attrs`` is a one-column DataFrame ``(attr_id)`` naming the
-        query side. Returns ``(query_attr, attr_id, similarity)`` for every
-        candidate pair sharing >= 1 band bucket, self-pairs excluded,
-        filtered to ``similarity >= min_similarity``.
-        """
-        q_bands = self.bands.join(
-            query_attrs.select(F.col("attr_id").alias("query_attr")),
-            self.bands["attr_id"] == F.col("query_attr"),
-        ).select("query_attr", "band", "band_hash")
-        candidates = (
-            q_bands.join(self.bands, ["band", "band_hash"])
-            .where(F.col("query_attr") != F.col("attr_id"))
-            .select("query_attr", "attr_id")
-            .distinct()
-        )
-        sims = _pair_similarity_df(candidates, self.signatures, kind=self.kind)
-        if min_similarity > 0.0:
-            sims = sims.where(F.col("similarity") >= F.lit(min_similarity))
-        return sims
-
     def unpersist(self) -> None:
         for df in (self.signatures, self.bands):
             try:
                 df.unpersist()
             except Exception:  # pragma: no cover - best-effort cleanup
                 pass
+
+
+def lookup(
+    indexes: dict[str, LshIndex], query_attrs: DataFrame, *, min_similarity: float = 0.0
+) -> DataFrame:
+    """LSH lookup of query attributes (themselves indexed) in every index
+    of ``indexes``, keyed by evidence name.
+
+    ``query_attrs`` is a one-column DataFrame ``(attr_id)``. Returns
+    ``(evidence, query_attr, attr_id, similarity)`` for every pair sharing
+    >= 1 bucket of that evidence's index, self-pairs excluded, filtered to
+    ``similarity >= min_similarity``. The similarity is the fraction of
+    equal signature positions for 'jaccard' indexes and
+    cos(pi * (1 - that fraction)) for 'cosine' bit signatures.
+    """
+
+    def _tagged(frame: str) -> DataFrame:
+        parts = [
+            getattr(idx, frame).withColumn("evidence", F.lit(name))
+            for name, idx in indexes.items()
+        ]
+        return reduce(DataFrame.unionByName, parts)
+
+    bands, signatures = _tagged("bands"), _tagged("signatures")
+    q_bands = bands.join(
+        query_attrs.select(F.col("attr_id").alias("query_attr")),
+        bands["attr_id"] == F.col("query_attr"),
+    ).select("evidence", "query_attr", "band", "band_hash")
+    candidates = (
+        q_bands.join(bands, ["evidence", "band", "band_hash"])
+        .where(F.col("query_attr") != F.col("attr_id"))
+        .select("evidence", "query_attr", "attr_id")
+        .distinct()
+    )
+    sig_q = signatures.select(
+        "evidence", F.col("attr_id").alias("query_attr"), F.col("sig").alias("sig_q")
+    )
+    sig_s = signatures.select("evidence", "attr_id", F.col("sig").alias("sig_s"))
+    joined = candidates.join(sig_q, ["evidence", "query_attr"]).join(
+        sig_s, ["evidence", "attr_id"]
+    )
+    eq_frac = (
+        F.aggregate(
+            F.zip_with("sig_q", "sig_s", lambda a, b: (a == b).cast("int")),
+            F.lit(0),
+            lambda acc, x: acc + x,
+        ).cast("double")
+        / F.size("sig_q").cast("double")
+    )
+    cosine = [name for name, idx in indexes.items() if idx.kind == "cosine"]
+    sim = F.when(
+        F.col("evidence").isin(cosine), F.cos(F.lit(float(np.pi)) * (F.lit(1.0) - eq_frac))
+    ).otherwise(eq_frac)
+    hits = joined.select("evidence", "query_attr", "attr_id", sim.alias("similarity"))
+    if min_similarity > 0.0:
+        hits = hits.where(F.col("similarity") >= F.lit(min_similarity))
+    return hits

@@ -3,8 +3,11 @@
 :class:`D3L` owns the four LSH indexes plus the numeric-extent store and
 subject-attribute table, and answers top-k queries through the Eq. 1-3
 aggregation framework. Queries are batched: ``search_many`` resolves any
-number of targets with one pass of similarity joins (one Spark plan),
-which is how the 100-target experiment sweeps stay tractable.
+number of targets with one tagged lookup over all four indexes (one
+similarity join) and Algorithm 2 in Spark, then collects the candidate
+pair table once and runs Eq. 1-3 on it in the driver — the pairs are
+candidate-sized, not lake-sized. This is how the 100-target experiment
+sweeps stay tractable.
 
 Targets are lake members (as in the paper's evaluation: targets are drawn
 from the repository, and the target itself is excluded from its answer).
@@ -12,6 +15,7 @@ from the repository, and the target itself is excluded from its answer).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import pandas as pd
 import pyspark.sql.functions as F
@@ -153,6 +157,11 @@ class D3L:
         counts["tset_sizes"] = self.tset_sizes.count()
         return counts
 
+    @cached_property
+    def tables(self) -> frozenset[str]:
+        """Names of the lake's tables."""
+        return frozenset(r["table"] for r in self.attrs.select("table").distinct().collect())
+
     def _indexes(self) -> dict[str, lsh.LshIndex]:
         return {"n": self.index_n, "v": self.index_v, "f": self.index_f, "e": self.index_e}
 
@@ -169,19 +178,14 @@ class D3L:
 
     def candidate_pairs(self, target_tables: list[str]) -> DataFrame:
         """Per-pair distance table for all attributes of ``target_tables``:
-        union of the four index lookups + Algorithm 2 domain distances."""
+        one tagged lookup over the four indexes + Algorithm 2 domain
+        distances."""
         q_attrs = self.attrs.where(F.col("table").isin(target_tables)).select("attr_id")
-        floor = self.config.min_similarity
-        lookups = dist.LookupResults(
-            n=self.index_n.lookup(q_attrs, min_similarity=floor),
-            v=self.index_v.lookup(q_attrs, min_similarity=floor),
-            f=self.index_f.lookup(q_attrs, min_similarity=floor),
-            e=self.index_e.lookup(q_attrs, min_similarity=floor),
-        )
-        pairs = dist.attach_tables(dist.merge_lookups(lookups), self.attrs)
+        hits = lsh.lookup(self._indexes(), q_attrs, min_similarity=self.config.min_similarity)
+        pairs = dist.attach_tables(dist.evidence_distances(hits), self.attrs)
         # The pair table is referenced several times downstream (Algorithm 2
-        # guards, Eq. 2 windows, alignment collection); cut the similarity-
-        # join lineage here so it is computed once, not per reference.
+        # guards and the final collect); cut the similarity-join lineage here
+        # so it is computed once, not per reference.
         pairs = pairs.localCheckpoint(eager=True)
         full = dist.add_domain_distance(pairs, self.extents, self.subjects)
         full = full.localCheckpoint(eager=True)
@@ -199,13 +203,13 @@ class D3L:
         ``table_vectors`` has one row per (q_table, s_table) with the 5-d
         distance vector ``D_n .. D_d`` — the feature vectors the paper's
         Eq. 3 weight training consumes; ``alignments`` is the per-pair
-        candidate table.
+        candidate table. Eq. 1-2 run on the collected alignments: they are
+        candidate-sized work.
         """
         pairs = self.candidate_pairs(target_tables)
-        pairs_w = weights.pair_weights(pairs)
-        tv = weights.aggregate_eq1(pairs_w).toPandas()
         align = pairs.toPandas()
         pairs.unpersist()  # release this query's checkpoint blocks
+        tv = weights.weighted_means(weights.ccdf_weights(align))
         return tv, align
 
     def search_many(
@@ -219,8 +223,14 @@ class D3L:
 
         ``evidence`` restricts ranking to a single evidence type ('n', 'v',
         'f', 'e' or 'd') for the paper's Experiment 1; None uses the full
-        Eq. 3 aggregation.
+        Eq. 3 aggregation. Raises ``ValueError`` for ``k <= 0`` and for
+        targets that are not lake tables.
         """
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        unknown = sorted(set(target_tables) - self.tables)
+        if unknown:
+            raise ValueError(f"targets are not lake tables: {unknown}")
         table_vectors, align = self.table_vectors(target_tables)
 
         results: dict[str, SearchResult] = {}

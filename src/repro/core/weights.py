@@ -16,6 +16,9 @@ weakly related attributes" role the paper assigns these weights.
 Stage 2 (Eq. 1): per (target, source) table pair and evidence type, the
 weighted mean of the attribute-pair distances -> a 5-d vector.
 
+Both stages are candidate-sized, so they run in pandas on the pair table
+the query collects anyway (DESIGN.md §5).
+
 Stage 3 (Eq. 3): weighted Euclidean norm of the 5-d vector with per-evidence
 weights taken from a logistic-regression model trained on ground-truth
 related/unrelated pairs (magnitude of the standardised coefficients,
@@ -26,8 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyspark.sql.functions as F
-from pyspark.sql import DataFrame, Window
 
 from repro.core.distances import EVIDENCE_TYPES
 from repro.ml.logreg import LogisticRegression
@@ -48,39 +49,46 @@ DEFAULT_EVIDENCE_WEIGHTS: dict[str, float] = {
 }
 
 
-def pair_weights(pairs: DataFrame) -> DataFrame:
-    """Add Eq. 2 weights ``w_n .. w_d`` to a candidate pair table.
+def ccdf_weights(pairs: pd.DataFrame) -> pd.DataFrame:
+    """Add Eq. 2 weights ``w_n .. w_d`` to a collected candidate pair table.
 
     Midrank CCDF per (target attribute, evidence type):
     ``w = (1 + P(d >= D) - P(d <= D)) / 2`` — an algebraic rewrite of
-    ``1 - (P(d < D) + P(d <= D)) / 2`` using two ``cume_dist`` windows.
+    ``1 - (P(d < D) + P(d <= D)) / 2``. ``P(d <= D)`` is the ``max``-method
+    rank over the target attribute's rows divided by their count, i.e.
+    SQL's ``cume_dist``.
     """
-    out = pairs
+    out = pairs.copy()
+    by_attr = out.groupby("query_attr")
+    n = by_attr["query_attr"].transform("size").to_numpy(dtype=np.float64)
     for t in EVIDENCE_TYPES:
-        asc = Window.partitionBy("query_attr").orderBy(F.col(f"d_{t}").asc())
-        desc = Window.partitionBy("query_attr").orderBy(F.col(f"d_{t}").desc())
-        out = out.withColumn(
-            f"w_{t}",
-            (F.lit(1.0) + F.cume_dist().over(desc) - F.cume_dist().over(asc)) / 2.0,
-        )
+        d = by_attr[f"d_{t}"]
+        at_most = d.rank(method="max").to_numpy() / n
+        at_least = d.rank(method="max", ascending=False).to_numpy() / n
+        out[f"w_{t}"] = (1.0 + at_least - at_most) / 2.0
     return out
 
 
-def aggregate_eq1(pairs_w: DataFrame) -> DataFrame:
+def weighted_means(pairs_w: pd.DataFrame) -> pd.DataFrame:
     """Eq. 1 per (q_table, s_table): weighted mean distance per evidence.
 
     Missing-evidence rows (d = 1.0) keep whatever CCDF weight they earned;
     a (T, S) pair whose every row has zero weight for evidence t is
     maximally distant on t (D_t = 1.0).
     """
-    aggs = []
-    for t in EVIDENCE_TYPES:
-        num = F.sum(F.col(f"w_{t}") * F.col(f"d_{t}"))
-        den = F.sum(F.col(f"w_{t}"))
-        aggs.append(
-            F.when(den > 0.0, num / den).otherwise(F.lit(1.0)).alias(f"D_{t}")
-        )
-    return pairs_w.groupBy("q_table", "s_table").agg(*aggs)
+    w = pairs_w[[f"w_{t}" for t in EVIDENCE_TYPES]].to_numpy(dtype=np.float64)
+    d = pairs_w[[f"d_{t}" for t in EVIDENCE_TYPES]].to_numpy(dtype=np.float64)
+    sums = (
+        pd.DataFrame(np.hstack([w * d, w]))
+        .groupby([pairs_w["q_table"].to_numpy(), pairs_w["s_table"].to_numpy()])
+        .sum()
+    )
+    num, den = np.hsplit(sums.to_numpy(), 2)
+    means = np.divide(num, den, out=np.ones_like(num), where=den > 0.0)
+    out = pd.DataFrame(means, columns=[f"D_{t}" for t in EVIDENCE_TYPES])
+    out.insert(0, "q_table", sums.index.get_level_values(0))
+    out.insert(1, "s_table", sums.index.get_level_values(1))
+    return out
 
 
 def combine_eq3(

@@ -10,13 +10,15 @@ A lake is materialised as two DataFrames:
 * ``attrs`` — one row per attribute:
   ``(attr_id, table, col_idx, col_name, is_numeric)``.
 
-``attr_id`` is ``"<table>||<column>"`` (column names are unique per table).
+``attr_id`` is ``"<table>||<column>"`` (column names are unique per table);
+table names may not contain the separator, so the table is the part before
+the first one.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
 import pyspark.sql.functions as F
 
 #: Separator for composing/splitting attr ids.
@@ -32,6 +34,11 @@ def attr_id(table: str, col_name: str) -> str:
 def split_attr_id(aid: str) -> tuple[str, str]:
     table, col = aid.split(SEP, 1)
     return table, col
+
+
+def table_of(attr_ids: Column | str) -> Column:
+    """Spark column: the table part of an ``attr_id`` column."""
+    return F.substring_index(attr_ids, SEP, 1)
 
 
 def _is_numeric_column(s: pd.Series) -> bool:
@@ -57,6 +64,9 @@ def _render(s: pd.Series) -> pd.Series:
 def cells_pandas(tables: dict[str, pd.DataFrame]) -> pd.DataFrame:
     """Long-format cells for a dict of tables (driver-side; lakes at our
     scale fit comfortably — see DESIGN.md §6)."""
+    bad = sorted(t for t in tables if SEP in t)
+    if bad:
+        raise ValueError(f"table names must not contain {SEP!r}: {bad}")
     frames = []
     for table in sorted(tables):
         df = tables[table]

@@ -1,15 +1,8 @@
 """Aurum baseline: graph materialisation, certainty ranking, PK/FK joins."""
 import pandas as pd
-import pytest
 
 from repro.baselines.aurum import Aurum, tfidf_vectors
 from repro.lake import tables
-
-
-@pytest.fixture(scope="session")
-def aurum_clean(spark, clean_cells):
-    a = Aurum.build(spark, clean_cells)
-    return a
 
 
 class TestTfidfVectors:

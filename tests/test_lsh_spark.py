@@ -9,6 +9,15 @@ from repro.core.hashing import HashFamily
 from repro.oracle import assert_equivalent
 
 
+def _query(spark, *attr_ids: str):
+    return spark.createDataFrame([(a,) for a in attr_ids], schema="attr_id string")
+
+
+def _hits(index, q, **kw) -> dict[str, float]:
+    """``attr_id -> similarity`` of a lookup in ``index`` alone."""
+    return {r["attr_id"]: r["similarity"] for r in lsh.lookup({"x": index}, q, **kw).collect()}
+
+
 def _features_df(spark, sets: dict[str, set]):
     rows = [(a, f) for a, feats in sets.items() for f in feats]
     return spark.createDataFrame(rows, schema="attr_id string, feature string")
@@ -77,39 +86,31 @@ class TestBandIndex:
         d = bands[bands.attr_id == "D"].sort_values("band")["band_hash"].tolist()
         assert a == d
 
-    def test_lookup_finds_identical(self, sigs):
+    def test_lookup_finds_identical(self, spark, sigs):
         index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32, cache=False)
-        q = sigs.sparkSession.createDataFrame([("A",)], schema="attr_id string")
-        hits = {r["attr_id"]: r["similarity"] for r in index.lookup(q).collect()}
-        assert hits["D"] == pytest.approx(1.0)
+        assert _hits(index, _query(spark, "A"))["D"] == pytest.approx(1.0)
 
-    def test_lookup_excludes_self(self, sigs):
+    def test_lookup_excludes_self(self, spark, sigs):
         index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32, cache=False)
-        q = sigs.sparkSession.createDataFrame([("A",)], schema="attr_id string")
-        assert "A" not in {r["attr_id"] for r in index.lookup(q).collect()}
+        assert "A" not in _hits(index, _query(spark, "A"))
 
-    def test_lookup_mid_similarity_with_fine_bands(self, sigs):
+    def test_lookup_mid_similarity_with_fine_bands(self, spark, sigs):
         index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=64, cache=False)
-        q = sigs.sparkSession.createDataFrame([("A",)], schema="attr_id string")
-        hits = {r["attr_id"]: r["similarity"] for r in index.lookup(q).collect()}
+        hits = _hits(index, _query(spark, "A"))
         assert "B" in hits
         assert 0.25 < hits["B"] < 0.75
 
-    def test_min_similarity_filter(self, sigs):
+    def test_min_similarity_filter(self, spark, sigs):
         index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=64, cache=False)
-        q = sigs.sparkSession.createDataFrame([("A",)], schema="attr_id string")
-        hits = index.lookup(q, min_similarity=0.9).collect()
-        assert {r["attr_id"] for r in hits} == {"D"}
+        assert set(_hits(index, _query(spark, "A"), min_similarity=0.9)) == {"D"}
 
-    def test_disjoint_not_candidates(self, sigs):
+    def test_disjoint_not_candidates(self, spark, sigs):
         index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32, cache=False)
-        q = sigs.sparkSession.createDataFrame([("C",)], schema="attr_id string")
-        hits = {r["attr_id"] for r in index.lookup(q).collect()}
-        assert hits == set()
+        assert _hits(index, _query(spark, "C")) == {}
 
     def test_build_rejects_bad_kind(self, sigs):
         with pytest.raises(ValueError):
-            lsh.LshIndex.build(sigs, kind="hamming")
+            lsh.LshIndex.build(sigs, kind="hamming", n_bands=32)
 
     def test_candidate_join_oracle(self, spark, sigs):
         """The banded candidate join agrees with DuckDB's join over the
@@ -140,25 +141,49 @@ class TestBandIndex:
         )
 
 
+def _cosine_index(spark, ids=("a", "b", "c")):
+    """Bit-signature index: ids[1] is close to ids[0], ids[2] unrelated."""
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(50)
+    vecs = spark.createDataFrame(
+        pd.DataFrame(
+            {
+                "attr_id": list(ids),
+                "vec": [
+                    v.tolist(),
+                    (0.9 * v + 0.2 * rng.standard_normal(50)).tolist(),
+                    rng.standard_normal(50).tolist(),
+                ],
+            }
+        )
+    )
+    sigs = randproj.bit_signatures_df(vecs, dim=50)
+    return lsh.LshIndex.build(sigs, kind="cosine", n_bands=32, cache=False)
+
+
 class TestCosineIndex:
     def test_cosine_lookup(self, spark):
-        rng = np.random.default_rng(5)
-        v = rng.standard_normal(50)
-        vecs = spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "attr_id": ["a", "b", "c"],
-                    "vec": [
-                        v.tolist(),
-                        (0.9 * v + 0.2 * rng.standard_normal(50)).tolist(),
-                        rng.standard_normal(50).tolist(),
-                    ],
-                }
-            )
-        )
-        sigs = randproj.bit_signatures_df(vecs, dim=50)
-        index = lsh.LshIndex.build(sigs, kind="cosine", n_bands=32, cache=False)
-        q = spark.createDataFrame([("a",)], schema="attr_id string")
-        hits = {r["attr_id"]: r["similarity"] for r in index.lookup(q).collect()}
+        hits = _hits(_cosine_index(spark), _query(spark, "a"))
         assert "b" in hits and hits["b"] > 0.8
         assert hits.get("c", 0.0) < 0.5
+
+
+class TestTaggedLookup:
+    def test_each_evidence_equals_its_lookup_alone(self, spark, sigs):
+        """One lookup over a Jaccard and a cosine index sharing attr ids
+        returns, per evidence, exactly that index's own lookup."""
+        indexes = {
+            "j": lsh.LshIndex.build(sigs, kind="jaccard", n_bands=64, cache=False),
+            "c": _cosine_index(spark, ids=("A", "B", "C")),
+        }
+        q = _query(spark, "A", "B", "C")
+        both = lsh.lookup(indexes, q).toPandas()
+        assert set(both["evidence"]) == {"j", "c"}
+        for name, index in indexes.items():
+            alone = lsh.lookup({name: index}, q).toPandas()
+            got = both[both["evidence"] == name]
+            key = ["query_attr", "attr_id"]
+            pd.testing.assert_frame_equal(
+                got.sort_values(key).reset_index(drop=True),
+                alone.sort_values(key).reset_index(drop=True),
+            )

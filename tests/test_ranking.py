@@ -102,3 +102,14 @@ def test_noisy_lake_still_finds_siblings(d3l_noisy, noisy_lake):
     res = d3l_noisy.search_many(targets, k=2)
     precisions = [_gt_precision(noisy_lake, res[t], 2) for t in targets]
     assert sum(precisions) / len(precisions) >= 0.4
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_search_many_rejects_non_positive_k(d3l_clean, clean_lake, k):
+    with pytest.raises(ValueError, match="k must be positive"):
+        d3l_clean.search_many([sorted(clean_lake.tables)[0]], k)
+
+
+def test_search_many_rejects_unknown_target(d3l_clean, clean_lake):
+    with pytest.raises(ValueError, match="not lake tables"):
+        d3l_clean.search_many([sorted(clean_lake.tables)[0], "no_such_table"], 5)

@@ -23,11 +23,11 @@ def test_cells_features_signatures_lookup(spark):
     row = sigs.first()
     assert len(row["sig"]) == 256
 
-    index = lsh.LshIndex.build(sigs, kind="jaccard")
+    index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32)
     # Query every attribute of one table against the lake.
     t0 = sorted(lake.tables)[0]
     q = attrs.where(F.col("table") == t0).select("attr_id")
-    hits = index.lookup(q, min_similarity=0.3).collect()
+    hits = lsh.lookup({"v": index}, q, min_similarity=0.3).collect()
     assert len(hits) > 0
     for h in hits:
         assert 0.0 <= h["similarity"] <= 1.0

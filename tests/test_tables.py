@@ -19,6 +19,11 @@ class TestAttrIds:
 
 
 class TestCellsPandas:
+    def test_rejects_separator_in_table_name(self):
+        """``a||b`` would be read back as table ``a``."""
+        with pytest.raises(ValueError, match="must not contain"):
+            tables.cells_pandas({"a||b": pd.DataFrame({"x": ["v"]})})
+
     def test_drops_nulls(self):
         pdf = tables.cells_pandas(
             {"t": pd.DataFrame({"a": ["x", None, "y"], "b": [1, 2, None]})}

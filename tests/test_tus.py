@@ -1,18 +1,10 @@
 """TUS baseline behaviour (value-equality sensitivity, numeric blindness)."""
 import pandas as pd
 import pyspark.sql.functions as F
-import pytest
 
 from repro.baselines.kb import KnowledgeBase
 from repro.baselines.tus import TUS, semantic_sets, value_sets
 from repro.lake import tables
-
-
-@pytest.fixture(scope="session")
-def tus_clean(spark, clean_cells):
-    t = TUS.build(spark, clean_cells)
-    t.materialize()
-    return t
 
 
 class TestFeatures:
