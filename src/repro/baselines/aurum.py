@@ -30,7 +30,7 @@ import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import features, lsh, minhash, randproj
-from repro.core.ranking import SearchResult
+from repro.core.ranking import LakeSearch, SearchResult
 from repro.embedding.wem import WordEmbeddingModel
 
 _TFIDF_DIM = 64
@@ -47,7 +47,7 @@ def tfidf_vectors(cells: DataFrame) -> DataFrame:
         cells.where(~F.col("is_numeric"))
         .select(
             "attr_id",
-            F.explode(F.split(F.lower(F.col("value")), r"[\s.,;:/\-()\[\]@_]+")).alias("w"),
+            F.explode(F.split(F.lower(F.col("value")), features.WORD_SPLIT)).alias("w"),
         )
         .where(F.col("w") != "")
     )
@@ -96,7 +96,7 @@ class AurumConfig:
 
 
 @dataclass
-class Aurum:
+class Aurum(LakeSearch):
     """Aurum's graph over the lake; queries are edge lookups."""
 
     spark: SparkSession
@@ -235,6 +235,7 @@ class Aurum:
         """Graph traversal: neighbours of the target's attributes, ranked by
         certainty (max edge similarity per source table). k-independent —
         the edges were fixed at build time."""
+        self.check_query(target_tables, k)
         align = self.edges.where(F.col("q_table").isin(target_tables)).toPandas()
         results: dict[str, SearchResult] = {}
         for target in target_tables:

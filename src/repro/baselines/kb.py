@@ -23,8 +23,10 @@ this KB preserves both the code path and the cost profile:
 """
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
+from repro.core import features
 from repro.lake import vocab
 
 #: Vocabulary domains a YAGO-like KB plausibly covers. Local proper nouns
@@ -92,10 +94,8 @@ class KnowledgeBase:
 
     def classes_of_value(self, value: str) -> set[str]:
         """Union of class chains over a value's whitespace/punct tokens."""
-        import re
-
         classes: set[str] = set()
-        for token in re.split(r"[\s.,;:/\-()\[\]@_]+", value):
+        for token in re.split(features.WORD_SPLIT, value):
             if token:
                 classes.update(self.classes_of_token(token))
         return classes

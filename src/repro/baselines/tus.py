@@ -34,9 +34,9 @@ import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.kb import KnowledgeBase
-from repro.core import lsh, minhash, randproj
+from repro.core import features, lsh, minhash, randproj
 from repro.core.distances import attach_tables
-from repro.core.ranking import SearchResult
+from repro.core.ranking import LakeSearch, SearchResult
 from repro.embedding.wem import WordEmbeddingModel
 
 
@@ -83,7 +83,7 @@ def token_vectors(cells: DataFrame, wem: WordEmbeddingModel) -> DataFrame:
         cells.where(~F.col("is_numeric"))
         .select(
             "attr_id",
-            F.explode(F.split(F.lower(F.col("value")), r"[\s.,;:/\-()\[\]@_]+")).alias("w"),
+            F.explode(F.split(F.lower(F.col("value")), features.WORD_SPLIT)).alias("w"),
         )
         .where(F.col("w") != "")
         .groupBy("attr_id")
@@ -155,7 +155,7 @@ class TUSConfig:
 
 
 @dataclass
-class TUS:
+class TUS(LakeSearch):
     """The TUS baseline over the same lake representation as D3L."""
 
     spark: SparkSession
@@ -251,6 +251,7 @@ class TUS:
         recomputed from its cells at query time (the YAGO-mapping cost) and
         exact unionability is computed on every blocked candidate pair.
         """
+        self.check_query(target_tables, k)
         floor = self.config.min_similarity
         target_cells = self.cells.where(F.col("table").isin(target_tables))
         q_attrs = self.attrs.where(F.col("table").isin(target_tables)).select("attr_id")

@@ -1,9 +1,9 @@
 """Attribute-pair distance computation (paper §III-B/C, Algorithm 2).
 
-Given the four LSH indexes and a set of query (target) attributes, this
-module produces the per-pair distance table the aggregation framework
-consumes — one row per candidate (target attribute, lake attribute) pair
-with all five distances:
+From the four LSH indexes' tagged lookup hits for a set of query (target)
+attributes, this module produces the per-pair distance table the
+aggregation framework consumes — one row per candidate (target attribute,
+lake attribute) pair with all five distances:
 
 * ``d_n``, ``d_v``, ``d_f`` — 1 - estimated Jaccard (MinHash indexes);
 * ``d_e`` — cosine distance, clamped to [0, 1];
@@ -13,16 +13,19 @@ with all five distances:
 A pair becomes a candidate when *any* index retrieves it; distances for
 evidence types that did not retrieve the pair default to 1.0 (maximally
 distant), matching §III-D ("otherwise that measurement is set to 1").
+
+The four LSH distances are pivoted in Spark (:func:`evidence_distances`,
+:func:`attach_tables`); Algorithm 2 (:func:`domain_distances`) runs in
+pandas on the collected pair table, which is candidate-sized.
 """
 from __future__ import annotations
+
+from collections.abc import Collection
 
 import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
-from pyspark.sql.types import DoubleType
-
-from repro.lake.tables import table_of
 
 EVIDENCE_TYPES = ("n", "v", "f", "e", "d")
 
@@ -41,17 +44,6 @@ def ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
     cdf_x = np.searchsorted(x, grid, side="right") / len(x)
     cdf_y = np.searchsorted(y, grid, side="right") / len(y)
     return float(np.max(np.abs(cdf_x - cdf_y)))
-
-
-@F.pandas_udf(DoubleType())
-def _ks_udf(xs: pd.Series, ys: pd.Series) -> pd.Series:
-    return pd.Series(
-        [
-            ks_statistic(np.asarray(x), np.asarray(y))
-            for x, y in zip(xs, ys)
-        ],
-        dtype=np.float64,
-    )
 
 
 def numeric_extents(cells: DataFrame) -> DataFrame:
@@ -107,14 +99,19 @@ def attach_tables(pairs: DataFrame, attrs: DataFrame) -> DataFrame:
     )
 
 
-def add_domain_distance(
-    pairs: DataFrame,
-    extents: DataFrame,
-    subjects: DataFrame,
-) -> DataFrame:
-    """Algorithm 2: compute ``d_d`` for numeric pairs passing the guards.
+def domain_distances(
+    pairs: pd.DataFrame,
+    extents: pd.DataFrame,
+    subject_attrs: Collection[str],
+) -> pd.DataFrame:
+    """Algorithm 2 on a collected pair table: add ``d_d`` (KS statistic)
+    for the numeric pairs the guards admit, 1.0 for every other pair.
 
-    Guards (any grants a KS computation):
+    ``pairs`` is the collected :func:`attach_tables` output; ``extents``
+    holds ``(attr_id, table, vals)`` for at least the numeric attributes of
+    the pairs' tables; ``subject_attrs`` are the lake's subject attribute
+    ids. Guards (any grants a KS computation):
+
       1. the two tables' *subject attributes* are related in any index —
          i.e. there is a candidate pair between the subjects;
       2. the numeric pair itself was retrieved by I_N (``d_n < 1``);
@@ -122,56 +119,38 @@ def add_domain_distance(
 
     Guard 1 extends the candidate set: every numeric x numeric attribute
     pair of a subject-related table pair gets a KS measurement even if no
-    index retrieved that pair directly.
+    index retrieved that pair directly. Such rows get 1.0 for the four
+    LSH distances.
     """
-    # -- guard 1: subject-related table pairs --------------------------------
-    subj = subjects.select("table", F.col("attr_id").alias("subj_attr"))
-    subj_pairs = (
-        pairs.join(
-            subj.select(F.col("subj_attr").alias("query_attr"), F.col("table").alias("qt")),
-            "query_attr",
-        )
-        .join(subj.select(F.col("subj_attr").alias("attr_id"), F.col("table").alias("st")), "attr_id")
-        .select(F.col("qt").alias("q_table"), F.col("st").alias("s_table"))
-        .distinct()
-    )
-    ext_q = extents.select(
-        F.col("attr_id").alias("query_attr"), F.col("vals").alias("vals_q")
-    )
-    ext_s = extents.select("attr_id", F.col("vals").alias("vals_s"))
+    keys = ["query_attr", "attr_id", "q_table", "s_table"]
+    ext_q = extents.rename(columns={"attr_id": "query_attr", "table": "q_table"})
+    ext_s = extents.rename(columns={"table": "s_table"})
 
-    # Guard-1 pairs: numeric x numeric cross product within subject-related
-    # table pairs. Table granularity keeps this tiny (few numeric attrs each).
-    guard1 = (
-        subj_pairs.join(ext_q.withColumn("q_table", table_of("query_attr")), "q_table")
-        .join(ext_s.withColumn("s_table", table_of("attr_id")), "s_table")
-        .select("query_attr", "attr_id", "vals_q", "vals_s")
+    subject_pair = pairs["query_attr"].isin(subject_attrs) & pairs["attr_id"].isin(subject_attrs)
+    related = pairs.loc[subject_pair, ["q_table", "s_table"]].drop_duplicates()
+    guard1 = related.merge(ext_q[["query_attr", "q_table"]], on="q_table").merge(
+        ext_s[["attr_id", "s_table"]], on="s_table"
     )
-
-    # Guards 2/3: the pair itself N- or F-related.
-    guard23 = (
-        pairs.where(
-            F.col("q_numeric") & F.col("s_numeric") & ((F.col("d_n") < 1.0) | (F.col("d_f") < 1.0))
-        )
-        .select("query_attr", "attr_id")
-        .join(ext_q, "query_attr")
-        .join(ext_s, "attr_id")
-        .select("query_attr", "attr_id", "vals_q", "vals_s")
+    guard23 = pairs.loc[
+        pairs["q_numeric"] & pairs["s_numeric"] & ((pairs["d_n"] < 1.0) | (pairs["d_f"] < 1.0)),
+        keys,
+    ]
+    admitted = (
+        pd.concat([guard1[keys], guard23])
+        .drop_duplicates()
+        .merge(ext_q[["query_attr", "vals"]], on="query_attr")
+        .merge(ext_s[["attr_id", "vals"]], on="attr_id", suffixes=("_q", "_s"))
     )
-
-    ks_pairs = (
-        guard1.unionByName(guard23)
-        .dropDuplicates(["query_attr", "attr_id"])
-        .withColumn("d_d", _ks_udf(F.col("vals_q"), F.col("vals_s")))
-        .select("query_attr", "attr_id", "d_d")
+    admitted["d_d"] = np.array(
+        [ks_statistic(x, y) for x, y in zip(admitted["vals_q"], admitted["vals_s"])],
+        dtype=np.float64,
     )
-
-    out = pairs.join(ks_pairs, ["query_attr", "attr_id"], "full_outer")
-    # Guard-1 rows may introduce pairs absent from `pairs`; fill their
-    # metadata and default the four LSH distances to 1.0.
-    out = out.withColumn(
-        "q_table", F.coalesce(F.col("q_table"), table_of("query_attr"))
-    ).withColumn("s_table", F.coalesce(F.col("s_table"), table_of("attr_id")))
-    out = out.fillna(1.0, subset=["d_n", "d_v", "d_f", "d_e", "d_d"])
-    out = out.fillna(True, subset=["q_numeric", "s_numeric"])
-    return out.where(F.col("q_table") != F.col("s_table"))
+    # Admitted pairs are numeric x numeric, so the flags join the merge keys
+    # and stay boolean for the rows only guard 1 produced.
+    admitted["q_numeric"] = admitted["s_numeric"] = True
+    out = pairs.merge(
+        admitted[keys + ["q_numeric", "s_numeric", "d_d"]],
+        on=keys + ["q_numeric", "s_numeric"],
+        how="outer",
+    )
+    return out.fillna({f"d_{t}": 1.0 for t in EVIDENCE_TYPES})

@@ -30,6 +30,9 @@ DEFAULT_Q = 4
 
 #: Punctuation splitting values into parts (paper: "split at punctuation").
 _PART_SPLIT = r"[.,;:/\-()\[\]@_]+"
+#: Whitespace or part punctuation: splits a value straight into words (the
+#: baselines' tokeniser, which has no notion of parts).
+WORD_SPLIT = r"[\s" + _PART_SPLIT[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@
 subject-attribute table, and answers top-k queries through the Eq. 1-3
 aggregation framework. Queries are batched: ``search_many`` resolves any
 number of targets with one tagged lookup over all four indexes (one
-similarity join) and Algorithm 2 in Spark, then collects the candidate
-pair table once and runs Eq. 1-3 on it in the driver — the pairs are
+similarity join), collects the candidate pair table once and runs
+Algorithm 2 and Eq. 1-3 on it in the driver — the pairs are
 candidate-sized, not lake-sized. This is how the 100-target experiment
 sweeps stay tractable.
 
@@ -24,6 +24,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core import distances as dist
 from repro.core import features, lsh, minhash, randproj, subject, weights
 from repro.embedding.wem import WordEmbeddingModel
+from repro.lake.tables import table_of
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,26 @@ class SearchResult:
         return [t for t, _ in self.ranking]
 
 
+class LakeSearch:
+    """Query validation shared by D3L, TUS and Aurum (each has ``attrs``)."""
+
+    @cached_property
+    def tables(self) -> frozenset[str]:
+        """Names of the lake's tables."""
+        return frozenset(r["table"] for r in self.attrs.select("table").distinct().collect())
+
+    def check_query(self, target_tables: list[str], k: int) -> None:
+        """Raise ``ValueError`` for ``k <= 0`` and for targets that are not
+        lake tables; every ``search_many`` calls this first."""
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        unknown = sorted(set(target_tables) - self.tables)
+        if unknown:
+            raise ValueError(f"targets are not lake tables: {unknown}")
+
+
 @dataclass
-class D3L:
+class D3L(LakeSearch):
     """The paper's system: four LSH indexes + aggregation framework."""
 
     spark: SparkSession
@@ -157,11 +176,6 @@ class D3L:
         counts["tset_sizes"] = self.tset_sizes.count()
         return counts
 
-    @cached_property
-    def tables(self) -> frozenset[str]:
-        """Names of the lake's tables."""
-        return frozenset(r["table"] for r in self.attrs.select("table").distinct().collect())
-
     def _indexes(self) -> dict[str, lsh.LshIndex]:
         return {"n": self.index_n, "v": self.index_v, "f": self.index_f, "e": self.index_e}
 
@@ -176,24 +190,29 @@ class D3L:
 
     # -- querying -------------------------------------------------------------
 
-    def candidate_pairs(self, target_tables: list[str]) -> DataFrame:
-        """Per-pair distance table for all attributes of ``target_tables``:
-        one tagged lookup over the four indexes + Algorithm 2 domain
-        distances."""
+    @cached_property
+    def subject_attrs(self) -> frozenset[str]:
+        """Attribute ids of the lake's subject attributes (at most one per table)."""
+        return frozenset(r["attr_id"] for r in self.subjects.collect())
+
+    def alignments(self, target_tables: list[str]) -> pd.DataFrame:
+        """Per-pair distance table for all attributes of ``target_tables``.
+
+        Spark runs one plan — the tagged lookup over the four indexes,
+        pivoted to distances and joined to the tables — and collects it
+        once; the numeric extents of the targets and candidate tables are
+        fetched next, and Algorithm 2 runs on the driver.
+        """
         q_attrs = self.attrs.where(F.col("table").isin(target_tables)).select("attr_id")
         hits = lsh.lookup(self._indexes(), q_attrs, min_similarity=self.config.min_similarity)
-        pairs = dist.attach_tables(dist.evidence_distances(hits), self.attrs)
-        # The pair table is referenced several times downstream (Algorithm 2
-        # guards and the final collect); cut the similarity-join lineage here
-        # so it is computed once, not per reference.
-        pairs = pairs.localCheckpoint(eager=True)
-        full = dist.add_domain_distance(pairs, self.extents, self.subjects)
-        full = full.localCheckpoint(eager=True)
-        # `full` is materialised, so the intermediate checkpoint's blocks can
-        # be released now — otherwise every search pins two RDDs in the block
-        # manager for the life of the session and long runs degrade.
-        pairs.unpersist()
-        return full
+        pairs = dist.attach_tables(dist.evidence_distances(hits), self.attrs).toPandas()
+        needed = sorted(set(target_tables) | set(pairs["s_table"]))
+        extents = (
+            self.extents.withColumn("table", table_of("attr_id"))
+            .where(F.col("table").isin(needed))
+            .toPandas()
+        )
+        return dist.domain_distances(pairs, extents, self.subject_attrs)
 
     def table_vectors(
         self, target_tables: list[str]
@@ -206,9 +225,7 @@ class D3L:
         candidate table. Eq. 1-2 run on the collected alignments: they are
         candidate-sized work.
         """
-        pairs = self.candidate_pairs(target_tables)
-        align = pairs.toPandas()
-        pairs.unpersist()  # release this query's checkpoint blocks
+        align = self.alignments(target_tables)
         tv = weights.weighted_means(weights.ccdf_weights(align))
         return tv, align
 
@@ -226,11 +243,7 @@ class D3L:
         Eq. 3 aggregation. Raises ``ValueError`` for ``k <= 0`` and for
         targets that are not lake tables.
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        unknown = sorted(set(target_tables) - self.tables)
-        if unknown:
-            raise ValueError(f"targets are not lake tables: {unknown}")
+        self.check_query(target_tables, k)
         table_vectors, align = self.table_vectors(target_tables)
 
         results: dict[str, SearchResult] = {}

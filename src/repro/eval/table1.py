@@ -74,7 +74,7 @@ def reproduce_table1(spark: SparkSession) -> pd.DataFrame:
     lake = figure1_tables()
     cells = tables.cells_df(spark, lake)
     d3l = D3L.build(spark, cells)
-    pairs = d3l.candidate_pairs(["T"]).toPandas()
+    pairs = d3l.alignments(["T"])
     s2 = pairs[pairs["s_table"] == "S2"].copy()
     s2["pair"] = [
         f"(T.{q.split('||')[1]}, S2.{s.split('||')[1]})"

@@ -14,6 +14,7 @@ import json
 import os
 from pathlib import Path
 
+from repro.core.ranking import D3L, D3LConfig
 from repro.eval import harness
 
 GOLDEN = Path(__file__).with_name("golden_rankings.json")
@@ -60,11 +61,42 @@ def test_rankings_match_golden(request):
 
     golden = json.loads(GOLDEN.read_text())
     assert set(golden) == set(systems)
+    wrong = _mismatches(golden, {name: system for name, (system, _, _) in systems.items()})
+    assert not wrong, "\n".join(wrong)
+
+
+def _mismatches(golden: dict, systems: dict) -> list[str]:
+    """``name/target`` answers of ``systems`` that disagree with ``golden``."""
     wrong = []
-    for name, (system, _, _) in systems.items():
+    for name, system in systems.items():
         res = system.search_many(sorted(golden[name]), K)
         for target, want in golden[name].items():
             got = [(t, float(s)) for t, s in res[target].ranking]
             if not _agree(got, want):
                 wrong.append(f"{name}/{target}: {got} != {want}")
+    return wrong
+
+
+def test_d3l_rankings_invariant_to_shuffle_partitions(spark, d3l_clean, d3l_noisy):
+    """The driver-side frames follow the order rows are collected in; the
+    answers must not."""
+    key = "spark.sql.shuffle.partitions"
+    before = spark.conf.get(key)
+    spark.conf.set(key, "64")
+    try:
+        wrong = _mismatches(
+            json.loads(GOLDEN.read_text()), {"d3l_clean": d3l_clean, "d3l_noisy": d3l_noisy}
+        )
+    finally:
+        spark.conf.set(key, before)
+    assert before != "64"
+    assert not wrong, "\n".join(wrong)
+
+
+def test_d3l_rankings_invariant_to_cell_partitioning(spark, noisy_cells):
+    d3l = D3L.build(spark, noisy_cells.repartition(13), config=D3LConfig())
+    try:
+        wrong = _mismatches(json.loads(GOLDEN.read_text()), {"d3l_noisy": d3l})
+    finally:
+        d3l.unpersist()
     assert not wrong, "\n".join(wrong)

@@ -104,12 +104,19 @@ def test_noisy_lake_still_finds_siblings(d3l_noisy, noisy_lake):
     assert sum(precisions) / len(precisions) >= 0.4
 
 
+SYSTEMS = ["d3l_clean", "tus_clean", "aurum_clean"]
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
 @pytest.mark.parametrize("k", [0, -1])
-def test_search_many_rejects_non_positive_k(d3l_clean, clean_lake, k):
+def test_search_many_rejects_non_positive_k(request, clean_lake, system, k):
     with pytest.raises(ValueError, match="k must be positive"):
-        d3l_clean.search_many([sorted(clean_lake.tables)[0]], k)
+        request.getfixturevalue(system).search_many([sorted(clean_lake.tables)[0]], k)
 
 
-def test_search_many_rejects_unknown_target(d3l_clean, clean_lake):
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_search_many_rejects_unknown_target(request, clean_lake, system):
     with pytest.raises(ValueError, match="not lake tables"):
-        d3l_clean.search_many([sorted(clean_lake.tables)[0], "no_such_table"], 5)
+        request.getfixturevalue(system).search_many(
+            [sorted(clean_lake.tables)[0], "no_such_table"], 5
+        )

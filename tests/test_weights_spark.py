@@ -1,5 +1,5 @@
 """Eq. 1/2 aggregation on the collected pair table, cross-checked by hand
-and via DuckDB, on toy pairs and on D3L's Spark candidate pairs."""
+and via DuckDB, on toy pairs and on D3L's collected pair tables."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -54,13 +54,13 @@ class TestPairWeights:
         assert np.allclose(out["w_n"], 0.5)
 
     def test_weights_in_unit_interval(self, d3l_clean):
-        pairs = d3l_clean.candidate_pairs(["hospitals__000"]).toPandas()
+        pairs = d3l_clean.alignments(["hospitals__000"])
         out = weights.ccdf_weights(pairs)
         for t in EVIDENCE_TYPES:
             assert out[f"w_{t}"].between(0.0, 1.0).all()
 
     def test_smaller_distance_never_smaller_weight(self, d3l_clean):
-        pairs = d3l_clean.candidate_pairs(["schools__001"]).toPandas()
+        pairs = d3l_clean.alignments(["schools__001"])
         out = weights.ccdf_weights(pairs)
         for q_attr, grp in out.groupby("query_attr"):
             g = grp.sort_values("d_v")
@@ -68,7 +68,7 @@ class TestPairWeights:
 
     def test_oracle_ccdf(self, d3l_clean):
         """Eq. 2 on a real pair table agrees with DuckDB's ``cume_dist``."""
-        pairs = d3l_clean.candidate_pairs(["gp_practices__000"]).toPandas()
+        pairs = d3l_clean.alignments(["gp_practices__000"])
         cols = ", ".join(
             f"""(1.0 + cume_dist() OVER (PARTITION BY query_attr ORDER BY d_{t} DESC)
                  - cume_dist() OVER (PARTITION BY query_attr ORDER BY d_{t})) / 2.0 AS w_{t}"""
@@ -93,7 +93,7 @@ class TestAggregateEq1:
         assert sorted(out["s_table"]) == ["S1", "S2", "S3"]
 
     def test_aggregates_bounded(self, d3l_clean):
-        pairs = d3l_clean.candidate_pairs(["businesses__000"]).toPandas()
+        pairs = d3l_clean.alignments(["businesses__000"])
         out = weights.weighted_means(weights.ccdf_weights(pairs))
         for t in EVIDENCE_TYPES:
             assert out[f"D_{t}"].between(0.0, 1.0).all()
