@@ -24,9 +24,10 @@ def test_exp5_search_time_synthetic(benchmark, synthetic_systems, synthetic_targ
     ]
     harness.print_rows(rows, "Experiment 5 — search time (Synthetic, s/target)", save="exp5_search_synthetic")
     # Paper Fig. 6b: D3L search is not slower than TUS (whose query
-    # recomputes KB mappings and exact unionability). At this lake size both
-    # sit on a ~4.5 s Spark job-scheduling floor, so the assertion allows
-    # 15% scheduling noise; the direction (TUS >= D3L) is the shape claim.
+    # recomputes KB mappings and exact unionability). D3L serves a query from
+    # driver copies of its indexes and starts no Spark job, while TUS's query
+    # still runs Spark jobs; the assertion allows 15% noise, and the
+    # direction (TUS >= D3L) is the shape claim.
     d3l_mean = sum(r["seconds"] for r in out["d3l"]) / len(out["d3l"])
     tus_mean = sum(r["seconds"] for r in out["tus"]) / len(out["tus"])
     assert d3l_mean <= tus_mean * 1.15

@@ -30,6 +30,7 @@ import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import features, lsh, minhash, randproj
+from repro.core.distances import with_tables
 from repro.core.ranking import LakeSearch, SearchResult
 from repro.embedding.wem import WordEmbeddingModel
 
@@ -103,8 +104,9 @@ class Aurum(LakeSearch):
     cells: DataFrame
     attrs: DataFrame
     #: materialised relationship edges (query_attr, attr_id, similarity,
-    #: q_table, s_table) — built once at index time.
-    edges: DataFrame
+    #: q_table, s_table, q_numeric, s_numeric) — built once at index time,
+    #: held on the driver.
+    edges: pd.DataFrame
     #: PK/FK candidate edges (t1, t2) at table granularity.
     pkfk_edges: pd.DataFrame
     #: the profile store: per-evidence column signatures, retained after
@@ -145,25 +147,18 @@ class Aurum(LakeSearch):
         # indexes — the all-pairs edge materialisation that dominates
         # Aurum's indexing cost. One tagged lookup serves both the edges and
         # the PK/FK candidates, each filtered to its own threshold.
+        meta = attrs.select("attr_id", "table", "is_numeric").toPandas()
         hits = lsh.lookup(
             {"name": idx_name, "content": idx_content, "tfidf": idx_tfidf},
-            attrs.select("attr_id"),
+            meta["attr_id"],
             min_similarity=min(cfg.edge_threshold, cfg.pkfk_threshold),
-        ).cache()
-        q_meta = attrs.select(
-            F.col("attr_id").alias("query_attr"), F.col("table").alias("q_table")
         )
-        s_meta = attrs.select("attr_id", F.col("table").alias("s_table"))
-        edges = (
-            hits.where(F.col("similarity") >= cfg.edge_threshold)
-            .groupBy("query_attr", "attr_id")
-            .agg(F.max("similarity").alias("similarity"))  # certainty = max
-            .join(q_meta, "query_attr")
-            .join(s_meta, "attr_id")
-            .where(F.col("q_table") != F.col("s_table"))
-            .cache()
+        edges = with_tables(
+            hits[hits["similarity"] >= cfg.edge_threshold]
+            .groupby(["query_attr", "attr_id"], as_index=False)["similarity"]
+            .max(),  # certainty = max
+            meta,
         )
-        edges.count()  # materialise the graph now (indexing-time cost)
 
         # PK/FK candidates: content overlap where either side is near-unique.
         uniq = (
@@ -172,17 +167,13 @@ class Aurum(LakeSearch):
             .toPandas()
             .set_index("attr_id")["uniqueness"]
         )
-        content_pairs = (
-            hits.where(
-                (F.col("evidence") == "content") & (F.col("similarity") >= cfg.pkfk_threshold)
-            )
-            .select("query_attr", "attr_id", "similarity")
-            .join(q_meta, "query_attr")
-            .join(s_meta, "attr_id")
-            .where(F.col("q_table") != F.col("s_table"))
-            .toPandas()
+        content_pairs = with_tables(
+            hits.loc[
+                (hits["evidence"] == "content") & (hits["similarity"] >= cfg.pkfk_threshold),
+                ["query_attr", "attr_id", "similarity"],
+            ],
+            meta,
         )
-        hits.unpersist()
         keep = [
             max(uniq.get(q, 0.0), uniq.get(s, 0.0)) >= cfg.pk_uniqueness
             for q, s in zip(content_pairs["query_attr"], content_pairs["attr_id"])
@@ -205,7 +196,7 @@ class Aurum(LakeSearch):
             idx.bands.unpersist()
         vf.unpersist()
 
-        return Aurum(
+        aurum = Aurum(
             spark=spark,
             cells=cells,
             attrs=attrs,
@@ -218,12 +209,14 @@ class Aurum(LakeSearch):
             },
             config=cfg,
         )
+        aurum.attr_tables = meta  # already collected: no query starts a Spark job
+        return aurum
 
     def materialize(self) -> dict[str, int]:
-        return {"edges": self.edges.count(), "pkfk_edges": len(self.pkfk_edges)}
+        return {"edges": len(self.edges), "pkfk_edges": len(self.pkfk_edges)}
 
     def unpersist(self) -> None:
-        for df in (self.edges, self.cells, self.attrs, *self.profile_sigs.values()):
+        for df in (self.cells, self.attrs, *self.profile_sigs.values()):
             try:
                 df.unpersist()
             except Exception:  # pragma: no cover
@@ -236,7 +229,7 @@ class Aurum(LakeSearch):
         certainty (max edge similarity per source table). k-independent —
         the edges were fixed at build time."""
         self.check_query(target_tables, k)
-        align = self.edges.where(F.col("q_table").isin(target_tables)).toPandas()
+        align = self.edges[self.edges["q_table"].isin(target_tables)]
         results: dict[str, SearchResult] = {}
         for target in target_tables:
             a = align[align["q_table"] == target].reset_index(drop=True)

@@ -27,7 +27,6 @@ attribute's score. Faithful cost/behaviour properties preserved:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import pandas as pd
 import pyspark.sql.functions as F
@@ -35,7 +34,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.kb import KnowledgeBase
 from repro.core import features, lsh, minhash, randproj
-from repro.core.distances import attach_tables
+from repro.core.distances import with_tables
 from repro.core.ranking import LakeSearch, SearchResult
 from repro.embedding.wem import WordEmbeddingModel
 
@@ -229,8 +228,10 @@ class TUS(LakeSearch):
         ):
             counts[f"sig_{name}"] = idx.signatures.count()
             counts[f"bands_{name}"] = idx.bands.count()
+            idx.served  # the driver copy the query's lookup probes
         counts["value_feats"] = self.value_feats.count()
         counts["semantic_feats"] = self.semantic_feats.count()
+        self.tables
         return counts
 
     def unpersist(self) -> None:
@@ -254,7 +255,6 @@ class TUS(LakeSearch):
         self.check_query(target_tables, k)
         floor = self.config.min_similarity
         target_cells = self.cells.where(F.col("table").isin(target_tables))
-        q_attrs = self.attrs.where(F.col("table").isin(target_tables)).select("attr_id")
 
         # Query-time feature recomputation (deliberate, faithful cost).
         q_vf = value_sets(target_cells)
@@ -262,34 +262,36 @@ class TUS(LakeSearch):
 
         hits = lsh.lookup(
             {"value": self.index_value, "semantic": self.index_semantic, "nl": self.index_nl},
-            q_attrs,
+            self.target_attrs(target_tables),
             min_similarity=floor,
         )
 
-        def _hits(evidence: str, *cols: str) -> DataFrame:
-            return hits.where(F.col("evidence") == evidence).select("query_attr", "attr_id", *cols)
+        def _hits(evidence: str) -> pd.DataFrame:
+            return hits.loc[hits["evidence"] == evidence, ["query_attr", "attr_id", "similarity"]]
 
-        # Exact unionability on the blocked candidates; the NL evidence keeps
-        # its LSH cosine estimate, clamped at 0. Max-score aggregation.
-        sims = [
-            exact_jaccard_pairs(_hits("value"), self.value_feats, q_vf),
-            exact_jaccard_pairs(_hits("semantic"), self.semantic_feats, q_sf),
-            _hits("nl", "similarity").withColumn("similarity", F.greatest("similarity", F.lit(0.0))),
-        ]
-        merged = (
-            reduce(DataFrame.unionByName, sims)
-            .groupBy("query_attr", "attr_id")
-            .agg(F.max("similarity").alias("similarity"))
-        )
-        align = attach_tables(merged, self.attrs).toPandas()
-        # Non-numeric attributes per target, the denominator of the score.
-        n_textual = (
-            self.attrs.where(F.col("table").isin(target_tables) & ~F.col("is_numeric"))
-            .groupBy("table")
-            .count()
+        def _candidates(evidence: str) -> DataFrame:
+            return self.spark.createDataFrame(
+                _hits(evidence)[["query_attr", "attr_id"]], schema="query_attr string, attr_id string"
+            )
+
+        # Exact unionability on the blocked candidates, in Spark against the
+        # lake-sized feature sets; the NL evidence keeps its LSH cosine
+        # estimate, clamped at 0. Max-score aggregation.
+        exact = (
+            exact_jaccard_pairs(_candidates("value"), self.value_feats, q_vf)
+            .unionByName(exact_jaccard_pairs(_candidates("semantic"), self.semantic_feats, q_sf))
             .toPandas()
-            .set_index("table")["count"]
         )
+        nl = _hits("nl").assign(similarity=lambda h: h["similarity"].clip(lower=0.0))
+        merged = (
+            pd.concat([exact, nl], ignore_index=True)
+            .groupby(["query_attr", "attr_id"], as_index=False)["similarity"]
+            .max()
+        )
+        meta = self.attr_tables
+        align = with_tables(merged, meta)
+        # Non-numeric attributes per target, the denominator of the score.
+        n_textual = meta[meta["table"].isin(target_tables) & ~meta["is_numeric"]].groupby("table").size()
 
         results: dict[str, SearchResult] = {}
         for target in target_tables:

@@ -14,9 +14,10 @@ A pair becomes a candidate when *any* index retrieves it; distances for
 evidence types that did not retrieve the pair default to 1.0 (maximally
 distant), matching §III-D ("otherwise that measurement is set to 1").
 
-The four LSH distances are pivoted in Spark (:func:`evidence_distances`,
-:func:`attach_tables`); Algorithm 2 (:func:`domain_distances`) runs in
-pandas on the collected pair table, which is candidate-sized.
+The lookup hits are candidate-sized and already on the driver
+(:func:`repro.core.lsh.lookup`), so the pair table (:func:`pair_table`) and
+Algorithm 2 (:func:`domain_distances`) are pandas; only the numeric extents
+(:func:`numeric_extents`) are extracted in Spark, at build time.
 """
 from __future__ import annotations
 
@@ -60,43 +61,38 @@ def numeric_extents(cells: DataFrame) -> DataFrame:
 # ---------------------------------------------------------------------------
 
 
-def evidence_distances(hits: DataFrame) -> DataFrame:
+def with_tables(pairs: pd.DataFrame, attrs: pd.DataFrame) -> pd.DataFrame:
+    """Add ``q_table``/``s_table`` and the numeric flags
+    ``q_numeric``/``s_numeric`` from ``attrs`` (``attr_id, table,
+    is_numeric``) to ``(query_attr, attr_id, ...)`` pairs and drop
+    same-table pairs (an attribute of the target is never a discovery
+    answer for it)."""
+    q = attrs.rename(columns={"attr_id": "query_attr", "table": "q_table", "is_numeric": "q_numeric"})
+    s = attrs.rename(columns={"table": "s_table", "is_numeric": "s_numeric"})
+    out = pairs.merge(q, on="query_attr").merge(s, on="attr_id")
+    return out[out["q_table"] != out["s_table"]].reset_index(drop=True)
+
+
+def pair_table(hits: pd.DataFrame, attrs: pd.DataFrame) -> pd.DataFrame:
     """Pivot tagged lookup hits ``(evidence, query_attr, attr_id,
     similarity)`` into one row per pair with distances ``d_n, d_v, d_f,
-    d_e`` (evidence that did not retrieve the pair -> 1.0).
+    d_e`` (evidence that did not retrieve the pair -> 1.0), then add the
+    tables and numeric flags with :func:`with_tables`.
 
     A distance is ``1 - similarity`` clamped to [0, 1] (cosine similarity
-    lies in [-1, 1]). Since no distance exceeds 1, the minimum over a pair's
-    rows with 1.0 for every other evidence is exactly that evidence's
-    distance.
+    lies in [-1, 1]).
     """
-    d = F.greatest(F.lit(0.0), F.least(F.lit(1.0), F.lit(1.0) - F.col("similarity")))
-    return hits.groupBy("query_attr", "attr_id").agg(
-        *[
-            F.min(F.when(F.col("evidence") == t, d).otherwise(F.lit(1.0))).alias(f"d_{t}")
-            for t in EVIDENCE_TYPES[:4]
-        ]
+    lsh_types = list(EVIDENCE_TYPES[:4])
+    dist = hits.assign(d=np.clip(1.0 - hits["similarity"].to_numpy(), 0.0, 1.0))
+    # reindex: a pivot has no column for evidence without hits (none at all
+    # when ``hits`` is empty).
+    wide = (
+        dist.pivot_table(index=["query_attr", "attr_id"], columns="evidence", values="d", aggfunc="min")
+        .reindex(columns=lsh_types)
+        .fillna(1.0)
     )
-
-
-def attach_tables(pairs: DataFrame, attrs: DataFrame) -> DataFrame:
-    """Add ``q_table``/``s_table``/numeric flags and drop same-table pairs
-    (an attribute of the target is never a discovery answer for it)."""
-    q = attrs.select(
-        F.col("attr_id").alias("query_attr"),
-        F.col("table").alias("q_table"),
-        F.col("is_numeric").alias("q_numeric"),
-    )
-    s = attrs.select(
-        "attr_id",
-        F.col("table").alias("s_table"),
-        F.col("is_numeric").alias("s_numeric"),
-    )
-    return (
-        pairs.join(q, "query_attr")
-        .join(s, "attr_id")
-        .where(F.col("q_table") != F.col("s_table"))
-    )
+    wide.columns = [f"d_{t}" for t in lsh_types]
+    return with_tables(wide.reset_index(), attrs)
 
 
 def domain_distances(
@@ -107,7 +103,7 @@ def domain_distances(
     """Algorithm 2 on a collected pair table: add ``d_d`` (KS statistic)
     for the numeric pairs the guards admit, 1.0 for every other pair.
 
-    ``pairs`` is the collected :func:`attach_tables` output; ``extents``
+    ``pairs`` is the :func:`pair_table` output; ``extents``
     holds ``(attr_id, table, vals)`` for at least the numeric attributes of
     the pairs' tables; ``subject_attrs`` are the lake's subject attribute
     ids. Guards (any grants a KS computation):

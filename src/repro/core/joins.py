@@ -9,21 +9,22 @@ are (a) outside S^k, (b) not already on the path, and (c) related to T by
 at least one index — each such path contributes tables whose aligned
 attributes can further populate T.
 
-The edge list is built with one LSH self-join (DataFrame); the DFS runs in
-the driver over the collected table-granular edge list (|tables| nodes —
-orders of magnitude smaller than the lake, and the paper's algorithm is
-inherently sequential).
+The edge list is one I_V lookup of the subject attributes, served from the
+index's driver copy like every query; the DFS runs in the driver over the
+table-granular edge list (|tables| nodes — orders of magnitude smaller than
+the lake, and the paper's algorithm is inherently sequential).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import pyspark.sql.functions as F
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 
+from repro.core import distances as dist
 from repro.core import lsh
 from repro.core.ranking import D3L
-from repro.lake.tables import table_of
 
 
 def overlap_lower_bound(tau: float, size_a: int, size_b: int) -> float:
@@ -41,26 +42,25 @@ def sa_join_edges(d3l: D3L, *, tau: float | None = None) -> DataFrame:
     Built by querying I_V with every *subject attribute* and keeping
     candidates whose estimated tset Jaccard >= tau — the paper's
     "I_V-based evidence that the tsets overlap" with the LSH threshold.
+    The edges are computed on the driver and returned as a DataFrame.
     """
     tau = d3l.config.tau if tau is None else tau
-    subj_attrs = d3l.subjects.select("attr_id")
-    hits = lsh.lookup({"v": d3l.index_v}, subj_attrs, min_similarity=tau)
-    pairs = (
-        hits.withColumn("t1", table_of("query_attr"))
-        .withColumn("t2", table_of("attr_id"))
-        .where(F.col("t1") != F.col("t2"))
-    )
+    hits = lsh.lookup({"v": d3l.index_v}, sorted(d3l.subject_attrs), min_similarity=tau)
+    pairs = dist.with_tables(hits, d3l.attr_tables)
     # Normalise to undirected edges; either endpoint being a subject
     # satisfies condition (ii) since the query side is always a subject.
-    return (
-        pairs.select(
-            F.least("t1", "t2").alias("t1"),
-            F.greatest("t1", "t2").alias("t2"),
-            "similarity",
+    edges = (
+        pd.DataFrame(
+            {
+                "t1": np.minimum(pairs["q_table"], pairs["s_table"]),
+                "t2": np.maximum(pairs["q_table"], pairs["s_table"]),
+                "similarity": pairs["similarity"],
+            }
         )
-        .groupBy("t1", "t2")
-        .agg(F.max("similarity").alias("similarity"))
+        .groupby(["t1", "t2"], as_index=False)["similarity"]
+        .max()
     )
+    return d3l.spark.createDataFrame(edges, schema="t1 string, t2 string, similarity double")
 
 
 @dataclass

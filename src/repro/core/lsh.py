@@ -1,4 +1,4 @@
-"""Banded LSH indexes over signature DataFrames, queried via one similarity join.
+"""Banded LSH indexes: built in Spark, served from the driver.
 
 The paper uses LSH Forest with threshold tau = 0.7 and 256 hashes per index
 (§V footnote 5). We implement the classic banded equivalent: a signature of
@@ -9,20 +9,23 @@ candidate pair the full signatures are re-compared, giving the actual
 distance estimate that feeds Eqs. 1-3 — banding is only a blocking step,
 exactly the role LSH Forest plays in the paper.
 
-Everything is a DataFrame: an index is ``(attr_id, band, band_hash)`` plus
-``(attr_id, sig)``. :func:`lookup` unions any number of indexes under an
-``evidence`` tag, so querying them all is one equi-join on ``(evidence,
-band, band_hash)`` plus one join back to the signatures — a single Catalyst
-plan, literally a similarity join.
+The build is lake-sized and runs in Spark: an index is the DataFrames
+``(attr_id, sig)`` and ``(attr_id, band, band_hash)``. The built index is
+only |attributes| x (hashes + bands) integers, so queries are served, as
+the paper serves its in-memory LSH Forests, from a driver copy
+(:attr:`LshIndex.served`): one collect of the signatures, banded by the
+same :func:`band_hashes` kernel the Spark ``bands`` table is built with.
+:func:`lookup` probes any number of indexes under an ``evidence`` tag and
+returns the candidate-sized hits as pandas.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
-import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
 from pyspark.sql.types import LongType, StringType, StructField, StructType
 
@@ -36,30 +39,79 @@ _BANDS_SCHEMA = StructType(
     ]
 )
 
+#: Candidate pairs whose signatures are compared per numpy step, bounding
+#: the gathered ``(pairs, hashes)`` blocks to a few MB.
+_COMPARE_CHUNK = 4096
+
+
+def signature_matrix(sigs: pd.Series) -> np.ndarray:
+    """``(n, h)`` int64 matrix of a column of signature arrays."""
+    if sigs.empty:
+        return np.empty((0, 0), dtype=np.int64)
+    return np.stack(sigs.to_numpy()).astype(np.int64, copy=False)
+
+
+def band_hashes(sigs: np.ndarray, n_bands: int) -> np.ndarray:
+    """``(n, n_bands)`` int64 band hashes of an ``(n, h)`` signature matrix:
+    band ``j`` folds positions ``[j*r, (j+1)*r)`` with :func:`fold_rows64`."""
+    n, h = sigs.shape
+    rows = np.ascontiguousarray(sigs, dtype=np.int64).view(np.uint64)
+    return fold_rows64(rows.reshape(n * n_bands, h // n_bands)).view(np.int64).reshape(n, n_bands)
+
 
 def band_hashes_df(signatures: DataFrame, *, n_bands: int) -> DataFrame:
     """Explode ``(attr_id, sig)`` into ``(attr_id, band, band_hash)`` rows."""
 
     def _bands(batch: pd.DataFrame) -> pd.DataFrame:
-        if batch.empty:
-            return pd.DataFrame(
-                {
-                    "attr_id": pd.Series(dtype=str),
-                    "band": pd.Series(dtype=np.int64),
-                    "band_hash": pd.Series(dtype=np.int64),
-                }
-            )
-        out_ids, out_band, out_hash = [], [], []
-        for attr_id, sig in zip(batch["attr_id"], batch["sig"]):
-            sig = np.asarray(sig, dtype=np.int64).view(np.uint64)
-            rows = sig.reshape(n_bands, -1)
-            hashes = fold_rows64(rows).view(np.int64)
-            out_ids.extend([attr_id] * n_bands)
-            out_band.extend(range(n_bands))
-            out_hash.extend(hashes.tolist())
-        return pd.DataFrame({"attr_id": out_ids, "band": out_band, "band_hash": out_hash})
+        hashes = band_hashes(signature_matrix(batch["sig"]), n_bands)
+        return pd.DataFrame(
+            {
+                "attr_id": np.repeat(batch["attr_id"].to_numpy(dtype=object), n_bands),
+                "band": np.tile(np.arange(n_bands, dtype=np.int64), len(batch)),
+                "band_hash": hashes.ravel(),
+            }
+        )
 
     return signatures.mapInPandas(lambda it: map(_bands, it), schema=_BANDS_SCHEMA)
+
+
+@dataclass(frozen=True, eq=False)
+class ServedIndex:
+    """The driver copy of a built index, rows in ``attr_id`` order."""
+
+    attr_ids: np.ndarray  # (n,) object
+    sigs: np.ndarray  # (n, h) int64
+    bands: np.ndarray  # (n, b) int64
+
+    @staticmethod
+    def _buckets(rows: np.ndarray, bands: np.ndarray) -> pd.DataFrame:
+        """``(row, band, band_hash)``: each row's bucket in every band."""
+        b = bands.shape[1]
+        return pd.DataFrame(
+            {
+                "row": np.repeat(rows, b),
+                "band": np.tile(np.arange(b), len(rows)),
+                "band_hash": bands.ravel(),
+            }
+        )
+
+    def probe(self, query_attr_ids: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(query rows, candidate rows, fraction of equal signature
+        positions)`` for every pair sharing a bucket, self-pairs excluded,
+        sorted by (query row, candidate row)."""
+        n = len(self.attr_ids)
+        q = np.flatnonzero(pd.Index(self.attr_ids).isin(query_attr_ids))
+        hit = self._buckets(q, self.bands[q]).merge(
+            self._buckets(np.arange(n), self.bands), on=["band", "band_hash"], suffixes=("_q", "_s")
+        )
+        hit = hit[hit["row_q"] != hit["row_s"]]
+        keys = np.unique(hit["row_q"].to_numpy() * n + hit["row_s"].to_numpy())
+        rows_q, rows_s = keys // n, keys % n
+        equal = np.empty(len(rows_q), dtype=np.int64)
+        for i in range(0, len(rows_q), _COMPARE_CHUNK):
+            part = slice(i, i + _COMPARE_CHUNK)
+            equal[part] = np.count_nonzero(self.sigs[rows_q[part]] == self.sigs[rows_s[part]], axis=1)
+        return rows_q, rows_s, equal / self.sigs.shape[1]
 
 
 @dataclass
@@ -88,7 +140,20 @@ class LshIndex:
             bands = bands.cache()
         return LshIndex(signatures=signatures, bands=bands, kind=kind, n_bands=n_bands)
 
+    @cached_property
+    def served(self) -> ServedIndex:
+        """The driver copy every lookup probes: one collect of
+        ``signatures``, the bands computed from it on the driver."""
+        pdf = self.signatures.toPandas().sort_values("attr_id")
+        sigs = signature_matrix(pdf["sig"])
+        return ServedIndex(
+            attr_ids=pdf["attr_id"].to_numpy(dtype=object),
+            sigs=sigs,
+            bands=band_hashes(sigs, self.n_bands),
+        )
+
     def unpersist(self) -> None:
+        self.__dict__.pop("served", None)
         for df in (self.signatures, self.bands):
             try:
                 df.unpersist()
@@ -97,57 +162,38 @@ class LshIndex:
 
 
 def lookup(
-    indexes: dict[str, LshIndex], query_attrs: DataFrame, *, min_similarity: float = 0.0
-) -> DataFrame:
+    indexes: dict[str, LshIndex],
+    query_attr_ids: Iterable[str],
+    *,
+    min_similarity: float = 0.0,
+) -> pd.DataFrame:
     """LSH lookup of query attributes (themselves indexed) in every index
     of ``indexes``, keyed by evidence name.
 
-    ``query_attrs`` is a one-column DataFrame ``(attr_id)``. Returns
-    ``(evidence, query_attr, attr_id, similarity)`` for every pair sharing
-    >= 1 bucket of that evidence's index, self-pairs excluded, filtered to
-    ``similarity >= min_similarity``. The similarity is the fraction of
-    equal signature positions for 'jaccard' indexes and
-    cos(pi * (1 - that fraction)) for 'cosine' bit signatures.
+    Returns ``(evidence, query_attr, attr_id, similarity)`` for every pair
+    sharing >= 1 bucket of that evidence's index, self-pairs excluded,
+    filtered to ``similarity >= min_similarity`` when the floor is positive.
+    Query ids an index does not hold retrieve nothing from it. The
+    similarity is the fraction of equal signature positions for 'jaccard'
+    indexes and cos(pi * (1 - that fraction)) for 'cosine' bit signatures.
     """
-
-    def _tagged(frame: str) -> DataFrame:
-        parts = [
-            getattr(idx, frame).withColumn("evidence", F.lit(name))
-            for name, idx in indexes.items()
-        ]
-        return reduce(DataFrame.unionByName, parts)
-
-    bands, signatures = _tagged("bands"), _tagged("signatures")
-    q_bands = bands.join(
-        query_attrs.select(F.col("attr_id").alias("query_attr")),
-        bands["attr_id"] == F.col("query_attr"),
-    ).select("evidence", "query_attr", "band", "band_hash")
-    candidates = (
-        q_bands.join(bands, ["evidence", "band", "band_hash"])
-        .where(F.col("query_attr") != F.col("attr_id"))
-        .select("evidence", "query_attr", "attr_id")
-        .distinct()
-    )
-    sig_q = signatures.select(
-        "evidence", F.col("attr_id").alias("query_attr"), F.col("sig").alias("sig_q")
-    )
-    sig_s = signatures.select("evidence", "attr_id", F.col("sig").alias("sig_s"))
-    joined = candidates.join(sig_q, ["evidence", "query_attr"]).join(
-        sig_s, ["evidence", "attr_id"]
-    )
-    eq_frac = (
-        F.aggregate(
-            F.zip_with("sig_q", "sig_s", lambda a, b: (a == b).cast("int")),
-            F.lit(0),
-            lambda acc, x: acc + x,
-        ).cast("double")
-        / F.size("sig_q").cast("double")
-    )
-    cosine = [name for name, idx in indexes.items() if idx.kind == "cosine"]
-    sim = F.when(
-        F.col("evidence").isin(cosine), F.cos(F.lit(float(np.pi)) * (F.lit(1.0) - eq_frac))
-    ).otherwise(eq_frac)
-    hits = joined.select("evidence", "query_attr", "attr_id", sim.alias("similarity"))
-    if min_similarity > 0.0:
-        hits = hits.where(F.col("similarity") >= F.lit(min_similarity))
-    return hits
+    query_attr_ids = list(query_attr_ids)
+    parts = []
+    for name, index in indexes.items():
+        served = index.served
+        rows_q, rows_s, frac = served.probe(query_attr_ids)
+        sim = np.cos(np.pi * (1.0 - frac)) if index.kind == "cosine" else frac
+        if min_similarity > 0.0:
+            keep = sim >= min_similarity
+            rows_q, rows_s, sim = rows_q[keep], rows_s[keep], sim[keep]
+        parts.append(
+            pd.DataFrame(
+                {
+                    "evidence": np.full(len(sim), name, dtype=object),
+                    "query_attr": served.attr_ids[rows_q],
+                    "attr_id": served.attr_ids[rows_s],
+                    "similarity": sim,
+                }
+            )
+        )
+    return pd.concat(parts, ignore_index=True)

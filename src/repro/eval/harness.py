@@ -215,11 +215,11 @@ def space_overhead(spark: SparkSession, lake: Lake, workdir: str) -> dict[str, f
     # column signatures) — the components the paper's Table II charges it.
     aurum = Aurum.build(spark, cells)
     aurum_dir = root / "aurum"
-    _write(aurum.edges, aurum_dir / "edges")
     for name, sig in aurum.profile_sigs.items():
         _write(sig, aurum_dir / f"profile_{name}")
-    (aurum_dir / "pkfk").mkdir(parents=True, exist_ok=True)
-    aurum.pkfk_edges.to_parquet(aurum_dir / "pkfk" / "edges.parquet")
+    for name, edges in (("edges", aurum.edges), ("pkfk", aurum.pkfk_edges)):
+        (aurum_dir / name).mkdir(parents=True, exist_ok=True)
+        edges.to_parquet(aurum_dir / name / "edges.parquet")
     aurum_bytes = _dir_bytes(aurum_dir)
     aurum.unpersist()
 

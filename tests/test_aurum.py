@@ -47,11 +47,11 @@ class TestGraph:
         assert aurum_clean.materialize()["edges"] > 0
 
     def test_edges_have_similarity(self, aurum_clean):
-        row = aurum_clean.edges.first()
+        row = aurum_clean.edges.iloc[0]
         assert 0.0 <= row["similarity"] <= 1.0
 
     def test_no_self_table_edges(self, aurum_clean):
-        n_self = aurum_clean.edges.where("q_table = s_table").count()
+        n_self = len(aurum_clean.edges.query("q_table == s_table"))
         assert n_self == 0
 
     def test_pkfk_edges_shape(self, aurum_clean):

@@ -1,5 +1,6 @@
 """Searches over degenerate lakes: a single table, all-numeric tables,
-single-column text tables and a table with an all-null column.
+single-column text tables, a table with an all-null column and a table
+that shares no LSH bucket with the rest of its lake.
 
 Each search must answer without raising. The rankings' shapes are pinned,
 not their scores.
@@ -9,7 +10,8 @@ import pytest
 
 from repro.baselines.aurum import Aurum
 from repro.baselines.tus import TUS
-from repro.core import joins
+from repro.core import joins, lsh
+from repro.core.distances import EVIDENCE_TYPES
 from repro.core.ranking import D3L
 from repro.lake import tables
 
@@ -32,6 +34,13 @@ LAKES = {
         "A": pd.DataFrame({"name": NAMES, "gap": [None] * 20, "x": COUNTS}),
         "B": pd.DataFrame({"name": NAMES, "x": COUNTS[::-1]}),
     },
+    # P's one column has no name q-grams, no tokens and a format no other
+    # value has: no index retrieves anything for it.
+    "no_candidates": {
+        "A": pd.DataFrame({"name": NAMES, "x": COUNTS}),
+        "B": pd.DataFrame({"name": NAMES, "x": COUNTS[::-1]}),
+        "P": pd.DataFrame({"~": ["!?", "#%", "&*", "--", "??"] * 4}),
+    },
 }
 
 #: D3L's expected answer tables per target.
@@ -40,6 +49,7 @@ D3L_ANSWERS = {
     "all_numeric": {"A": ["B"], "B": ["A"]},
     "single_text_column": {"A": ["B"], "B": ["A"]},
     "all_null_column": {"A": ["B"], "B": ["A"]},
+    "no_candidates": {"A": ["B"], "B": ["A"], "P": []},
 }
 
 
@@ -101,3 +111,19 @@ def test_all_numeric_tables_rank_through_guards_2_3(built):
     align = d3l.alignments(["A"])
     ks = set(align.loc[align["d_d"] < 1.0, ["query_attr", "attr_id"]].itertuples(index=False, name=None))
     assert {("A||count", "B||count"), ("A||rate", "B||rate")} <= ks
+
+
+def test_target_without_candidates(built):
+    """An empty lookup gives an empty pair table that still has every
+    distance column, empty rankings and no join paths."""
+    systems = built("no_candidates")
+    d3l = systems["d3l"]
+    assert lsh.lookup(d3l._indexes(), d3l.target_attrs(["P"])).empty
+    align = d3l.alignments(["P"])
+    assert align.empty
+    assert {f"d_{t}" for t in EVIDENCE_TYPES} <= set(align.columns)
+    for name, system in systems.items():
+        assert system.search("P", K).ranking == [], name
+    res = d3l.search("P", K)
+    graph = joins.JoinGraph.from_edges(joins.sa_join_edges(d3l))
+    assert joins.join_paths_for_topk(graph, "P", res.tables, res.alignments) == {}

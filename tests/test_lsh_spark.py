@@ -1,21 +1,20 @@
-"""Spark MinHash signatures + banded LSH index (lookup = similarity join)."""
+"""Spark MinHash signatures, the banded LSH index built in Spark and its
+driver copy, which serves every lookup."""
+import duckdb
 import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
 from repro.core import lsh, minhash, randproj
-from repro.core.hashing import HashFamily
+from repro.core.hashing import HashFamily, fold_rows64
 from repro.oracle import assert_equivalent
-
-
-def _query(spark, *attr_ids: str):
-    return spark.createDataFrame([(a,) for a in attr_ids], schema="attr_id string")
 
 
 def _hits(index, q, **kw) -> dict[str, float]:
     """``attr_id -> similarity`` of a lookup in ``index`` alone."""
-    return {r["attr_id"]: r["similarity"] for r in lsh.lookup({"x": index}, q, **kw).collect()}
+    hits = lsh.lookup({"x": index}, q, **kw)
+    return dict(zip(hits["attr_id"], hits["similarity"]))
 
 
 def _features_df(spark, sets: dict[str, set]):
@@ -80,6 +79,18 @@ class TestBandIndex:
         counts = bands.groupBy("attr_id").count().collect()
         assert all(r["count"] == 32 for r in counts)
 
+    def test_band_hashes_equal_per_row_fold(self, sigs):
+        """The vectorised kernel equals folding each signature's bands one
+        attribute at a time."""
+        pdf = sigs.toPandas()
+        want = np.stack(
+            [
+                fold_rows64(np.asarray(sig, dtype=np.int64).view(np.uint64).reshape(32, -1)).view(np.int64)
+                for sig in pdf["sig"]
+            ]
+        )
+        np.testing.assert_array_equal(lsh.band_hashes(lsh.signature_matrix(pdf["sig"]), 32), want)
+
     def test_identical_sets_share_every_band(self, sigs):
         bands = lsh.band_hashes_df(sigs, n_bands=32).toPandas()
         a = bands[bands.attr_id == "A"].sort_values("band")["band_hash"].tolist()
@@ -88,25 +99,25 @@ class TestBandIndex:
 
     def test_lookup_finds_identical(self, spark, sigs):
         index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32, cache=False)
-        assert _hits(index, _query(spark, "A"))["D"] == pytest.approx(1.0)
+        assert _hits(index, ["A"])["D"] == pytest.approx(1.0)
 
     def test_lookup_excludes_self(self, spark, sigs):
         index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32, cache=False)
-        assert "A" not in _hits(index, _query(spark, "A"))
+        assert "A" not in _hits(index, ["A"])
 
     def test_lookup_mid_similarity_with_fine_bands(self, spark, sigs):
         index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=64, cache=False)
-        hits = _hits(index, _query(spark, "A"))
+        hits = _hits(index, ["A"])
         assert "B" in hits
         assert 0.25 < hits["B"] < 0.75
 
     def test_min_similarity_filter(self, spark, sigs):
         index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=64, cache=False)
-        assert set(_hits(index, _query(spark, "A"), min_similarity=0.9)) == {"D"}
+        assert set(_hits(index, ["A"], min_similarity=0.9)) == {"D"}
 
     def test_disjoint_not_candidates(self, spark, sigs):
         index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32, cache=False)
-        assert _hits(index, _query(spark, "C")) == {}
+        assert _hits(index, ["C"]) == {}
 
     def test_build_rejects_bad_kind(self, sigs):
         with pytest.raises(ValueError):
@@ -163,7 +174,7 @@ def _cosine_index(spark, ids=("a", "b", "c")):
 
 class TestCosineIndex:
     def test_cosine_lookup(self, spark):
-        hits = _hits(_cosine_index(spark), _query(spark, "a"))
+        hits = _hits(_cosine_index(spark), ["a"])
         assert "b" in hits and hits["b"] > 0.8
         assert hits.get("c", 0.0) < 0.5
 
@@ -176,14 +187,79 @@ class TestTaggedLookup:
             "j": lsh.LshIndex.build(sigs, kind="jaccard", n_bands=64, cache=False),
             "c": _cosine_index(spark, ids=("A", "B", "C")),
         }
-        q = _query(spark, "A", "B", "C")
-        both = lsh.lookup(indexes, q).toPandas()
+        q = ["A", "B", "C"]
+        both = lsh.lookup(indexes, q)
         assert set(both["evidence"]) == {"j", "c"}
         for name, index in indexes.items():
-            alone = lsh.lookup({name: index}, q).toPandas()
+            alone = lsh.lookup({name: index}, q)
             got = both[both["evidence"] == name]
             key = ["query_attr", "attr_id"]
             pd.testing.assert_frame_equal(
                 got.sort_values(key).reset_index(drop=True),
                 alone.sort_values(key).reset_index(drop=True),
             )
+
+
+class TestServedIndex:
+    """The driver copy every lookup probes, against the Spark index tables
+    it was built beside, on every D3L index of ``d3l_noisy``."""
+
+    @pytest.fixture(scope="class", params=["n", "v", "f", "e"])
+    def index(self, request, d3l_noisy):
+        return d3l_noisy._indexes()[request.param]
+
+    def test_band_matrix_equals_spark_bands(self, index):
+        served = index.served
+        bands = index.bands.toPandas()
+        spark_matrix = (
+            bands.pivot(index="attr_id", columns="band", values="band_hash")
+            .reindex(index=served.attr_ids, columns=range(index.n_bands))
+            .to_numpy()
+        )
+        assert len(bands) == len(served.attr_ids) * index.n_bands
+        np.testing.assert_array_equal(served.bands, spark_matrix)
+
+    def test_lookup_equals_duckdb_similarity_join(self, index, noisy_lake, d3l_noisy):
+        """DuckDB joins the collected ``bands`` on (band, band_hash) and
+        compares the collected signatures position by position; the driver
+        lookup returns the same pairs and similarities."""
+        targets = sorted(noisy_lake.tables)[:12]
+        queries = d3l_noisy.target_attrs(targets)
+        got = lsh.lookup({"x": index}, queries)
+        con = duckdb.connect()
+        try:
+            con.register("bands", index.bands.toPandas())
+            con.register("signatures", index.signatures.toPandas())
+            con.register("queries", pd.DataFrame({"attr_id": queries}))
+            want = con.execute(
+                """
+                WITH cand AS (
+                    SELECT DISTINCT q.attr_id AS query_attr, s.attr_id AS attr_id
+                    FROM bands q JOIN bands s
+                      ON q.band = s.band AND q.band_hash = s.band_hash
+                    WHERE q.attr_id IN (SELECT attr_id FROM queries)
+                      AND q.attr_id <> s.attr_id),
+                pos AS (
+                    SELECT attr_id, unnest(sig) AS v, generate_subscripts(sig, 1) AS i
+                    FROM signatures),
+                frac AS (
+                    SELECT c.query_attr, c.attr_id,
+                           SUM(CASE WHEN a.v = b.v THEN 1 ELSE 0 END)::DOUBLE / COUNT(*) AS frac
+                    FROM cand c
+                    JOIN pos a ON a.attr_id = c.query_attr
+                    JOIN pos b ON b.attr_id = c.attr_id AND b.i = a.i
+                    GROUP BY c.query_attr, c.attr_id)
+                SELECT query_attr, attr_id, frac, cos(pi() * (1.0 - frac)) AS cos_sim FROM frac
+                """
+            ).fetchdf()
+        finally:
+            con.close()
+        assert len(want) > 0
+        key = ["query_attr", "attr_id"]
+        got = got.sort_values(key).reset_index(drop=True)
+        want = want.sort_values(key).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got[key], want[key])
+        if index.kind == "jaccard":
+            np.testing.assert_array_equal(got["similarity"], want["frac"])
+        else:
+            np.testing.assert_allclose(got["similarity"], want["cos_sim"], rtol=0, atol=1e-12)

@@ -120,3 +120,32 @@ def test_search_many_rejects_unknown_target(request, clean_lake, system):
         request.getfixturevalue(system).search_many(
             [sorted(clean_lake.tables)[0], "no_such_table"], 5
         )
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_search_many_rejects_duplicate_targets(request, clean_lake, system):
+    target = sorted(clean_lake.tables)[0]
+    with pytest.raises(ValueError, match="duplicate targets"):
+        request.getfixturevalue(system).search_many([target, target], 5)
+
+
+def _jobs_started(spark, group: str, fn) -> list[int]:
+    """Ids of the Spark jobs ``fn()`` starts, run under job group ``group``."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return sc.statusTracker().getJobIdsForGroup(group)
+
+
+@pytest.mark.parametrize("system", ["d3l_clean", "aurum_clean"])
+def test_warm_search_starts_no_spark_job(request, spark, clean_lake, system):
+    """D3L and Aurum serve a warm query from driver copies alone."""
+    target = sorted(clean_lake.tables)[3]
+    searcher = request.getfixturevalue(system)
+    searcher.search(target, 10)
+    assert _jobs_started(spark, f"warm-{system}", lambda: searcher.search(target, 10)) == []
+    # The same probe does see a job that runs.
+    assert _jobs_started(spark, f"control-{system}", lambda: spark.range(3).count())

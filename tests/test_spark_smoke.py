@@ -26,11 +26,11 @@ def test_cells_features_signatures_lookup(spark):
     index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32)
     # Query every attribute of one table against the lake.
     t0 = sorted(lake.tables)[0]
-    q = attrs.where(F.col("table") == t0).select("attr_id")
-    hits = lsh.lookup({"v": index}, q, min_similarity=0.3).collect()
+    q = [r["attr_id"] for r in attrs.where(F.col("table") == t0).select("attr_id").collect()]
+    hits = lsh.lookup({"v": index}, q, min_similarity=0.3)
     assert len(hits) > 0
-    for h in hits:
-        assert 0.0 <= h["similarity"] <= 1.0
+    for sim in hits["similarity"]:
+        assert 0.0 <= sim <= 1.0
     index.unpersist()
     cells.unpersist()
     attrs.unpersist()
