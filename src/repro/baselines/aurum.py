@@ -19,6 +19,10 @@ similar columns; discovery queries traverse the graph. Faithful properties
   where at least one side is near-unique — with no subject-attribute
   restriction, which is why D3L+J is the more precise of the two
   (Experiments 9/11).
+
+The build takes only the Spark session and the lake's cells: the profiles
+use the paper's hash count and banding (:mod:`repro.core.lsh`), the graph
+the module's edge and PK/FK thresholds.
 """
 from __future__ import annotations
 
@@ -29,12 +33,20 @@ import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core import features, lsh, minhash, randproj
+from repro.core import features, lsh
 from repro.core.distances import with_tables
 from repro.core.ranking import LakeSearch, SearchResult
-from repro.embedding.wem import WordEmbeddingModel
 
 _TFIDF_DIM = 64
+#: Seed of the name profile; the content and TF-IDF profiles use
+#: ``_SEED + 1`` and ``_SEED + 2``.
+_SEED = 41
+#: Minimum similarity for a graph edge (content/name/tfidf).
+EDGE_THRESHOLD = 0.3
+#: Uniqueness ratio above which an attribute is a PK candidate.
+PK_UNIQUENESS = 0.85
+#: Minimum value-overlap similarity for a PK/FK candidate edge.
+PKFK_THRESHOLD = 0.5
 
 
 def tfidf_vectors(cells: DataFrame) -> DataFrame:
@@ -82,20 +94,6 @@ def tfidf_vectors(cells: DataFrame) -> DataFrame:
     return gathered.mapInPandas(_to_vec, schema="attr_id string, vec array<double>")
 
 
-@dataclass(frozen=True)
-class AurumConfig:
-    n_hashes: int = 256
-    n_bands_jaccard: int = 64
-    n_bands_cosine: int = 32
-    #: minimum similarity for a graph edge (content/name/tfidf).
-    edge_threshold: float = 0.3
-    #: uniqueness ratio above which an attribute is a PK candidate.
-    pk_uniqueness: float = 0.85
-    #: minimum value overlap similarity for a PK/FK candidate edge.
-    pkfk_threshold: float = 0.5
-    seed: int = 41
-
-
 @dataclass
 class Aurum(LakeSearch):
     """Aurum's graph over the lake; queries are edge lookups."""
@@ -113,35 +111,19 @@ class Aurum(LakeSearch):
     #: graph construction (Aurum keeps profiles + LSH indexes alongside the
     #: graph — they are part of its space footprint in Experiment 7).
     profile_sigs: dict[str, DataFrame]
-    config: AurumConfig
 
     @staticmethod
-    def build(
-        spark: SparkSession,
-        cells: DataFrame,
-        *,
-        wem: WordEmbeddingModel | None = None,
-        config: AurumConfig | None = None,
-    ) -> "Aurum":
+    def build(spark: SparkSession, cells: DataFrame) -> "Aurum":
         from repro.baselines.tus import value_sets
         from repro.lake.tables import attrs_df
 
-        cfg = config or AurumConfig()
         cells = cells.cache()
         attrs = attrs_df(cells).cache()
 
-        sig_name = minhash.signatures_df(
-            features.name_qgrams(attrs), n_hashes=cfg.n_hashes, seed=cfg.seed
-        )
+        idx_name = lsh.minhash_index(features.name_qgrams(attrs), seed=_SEED)
         vf = value_sets(cells).cache()
-        sig_content = minhash.signatures_df(vf, n_hashes=cfg.n_hashes, seed=cfg.seed + 1)
-        sig_tfidf = randproj.bit_signatures_df(
-            tfidf_vectors(cells), dim=_TFIDF_DIM, n_bits=cfg.n_hashes, seed=cfg.seed + 2
-        )
-
-        idx_name = lsh.LshIndex.build(sig_name, kind="jaccard", n_bands=cfg.n_bands_jaccard)
-        idx_content = lsh.LshIndex.build(sig_content, kind="jaccard", n_bands=cfg.n_bands_jaccard)
-        idx_tfidf = lsh.LshIndex.build(sig_tfidf, kind="cosine", n_bands=cfg.n_bands_cosine)
+        idx_content = lsh.minhash_index(vf, seed=_SEED + 1)
+        idx_tfidf = lsh.simhash_index(tfidf_vectors(cells), dim=_TFIDF_DIM, seed=_SEED + 2)
 
         # Graph construction: LSH self-join of *every* attribute against the
         # indexes — the all-pairs edge materialisation that dominates
@@ -151,10 +133,10 @@ class Aurum(LakeSearch):
         hits = lsh.lookup(
             {"name": idx_name, "content": idx_content, "tfidf": idx_tfidf},
             meta["attr_id"],
-            min_similarity=min(cfg.edge_threshold, cfg.pkfk_threshold),
+            min_similarity=min(EDGE_THRESHOLD, PKFK_THRESHOLD),
         )
         edges = with_tables(
-            hits[hits["similarity"] >= cfg.edge_threshold]
+            hits[hits["similarity"] >= EDGE_THRESHOLD]
             .groupby(["query_attr", "attr_id"], as_index=False)["similarity"]
             .max(),  # certainty = max
             meta,
@@ -169,13 +151,13 @@ class Aurum(LakeSearch):
         )
         content_pairs = with_tables(
             hits.loc[
-                (hits["evidence"] == "content") & (hits["similarity"] >= cfg.pkfk_threshold),
+                (hits["evidence"] == "content") & (hits["similarity"] >= PKFK_THRESHOLD),
                 ["query_attr", "attr_id", "similarity"],
             ],
             meta,
         )
         keep = [
-            max(uniq.get(q, 0.0), uniq.get(s, 0.0)) >= cfg.pk_uniqueness
+            max(uniq.get(q, 0.0), uniq.get(s, 0.0)) >= PK_UNIQUENESS
             for q, s in zip(content_pairs["query_attr"], content_pairs["attr_id"])
         ]
         pkfk = content_pairs[pd.Series(keep, index=content_pairs.index)]
@@ -190,10 +172,6 @@ class Aurum(LakeSearch):
             else pd.DataFrame({"t1": pd.Series(dtype=str), "t2": pd.Series(dtype=str)})
         )
 
-        # Keep the signatures (the profile store); drop only the band
-        # tables, which the graph replaces at query time.
-        for idx in (idx_name, idx_content, idx_tfidf):
-            idx.bands.unpersist()
         vf.unpersist()
 
         aurum = Aurum(
@@ -207,7 +185,6 @@ class Aurum(LakeSearch):
                 "content": idx_content.signatures,
                 "tfidf": idx_tfidf.signatures,
             },
-            config=cfg,
         )
         aurum.attr_tables = meta  # already collected: no query starts a Spark job
         return aurum
@@ -244,6 +221,3 @@ class Aurum(LakeSearch):
             ranking = [(t, float(s)) for t, s in agg["max"].items()]
             results[target] = SearchResult(target=target, ranking=ranking, alignments=a)
         return results
-
-    def search(self, target_table: str, k: int) -> SearchResult:
-        return self.search_many([target_table], k)[target_table]

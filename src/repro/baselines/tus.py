@@ -23,6 +23,10 @@ attribute's score. Faithful cost/behaviour properties preserved:
   on every candidate pair afterwards (D3L: "there remains a significant
   amount of computation to be done before the unionability measurements
   are obtained").
+
+The build takes only the Spark session and the lake's cells: the indexes
+use the paper's hash count, banding and lookup floor (:mod:`repro.core.lsh`)
+over the synthetic KB and the default 50-d WEM.
 """
 from __future__ import annotations
 
@@ -33,10 +37,14 @@ import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.kb import KnowledgeBase
-from repro.core import features, lsh, minhash, randproj
+from repro.core import features, lsh
 from repro.core.distances import with_tables
 from repro.core.ranking import LakeSearch, SearchResult
 from repro.embedding.wem import WordEmbeddingModel
+
+#: Seed of the value index; the semantic and NL indexes use ``_SEED + 1``
+#: and ``_SEED + 2``.
+_SEED = 29
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +151,6 @@ def exact_jaccard_pairs(pairs: DataFrame, feats: DataFrame, q_feats: DataFrame) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TUSConfig:
-    n_hashes: int = 256
-    n_bands_jaccard: int = 64
-    n_bands_cosine: int = 32
-    wem_dim: int = 50
-    min_similarity: float = 0.05
-    seed: int = 29
-
-
 @dataclass
 class TUS(LakeSearch):
     """The TUS baseline over the same lake representation as D3L."""
@@ -161,62 +159,36 @@ class TUS(LakeSearch):
     cells: DataFrame
     attrs: DataFrame
     kb: KnowledgeBase
-    wem: WordEmbeddingModel
     value_feats: DataFrame
     semantic_feats: DataFrame
     index_value: lsh.LshIndex
     index_semantic: lsh.LshIndex
     index_nl: lsh.LshIndex
-    config: TUSConfig
 
     @staticmethod
-    def build(
-        spark: SparkSession,
-        cells: DataFrame,
-        *,
-        kb: KnowledgeBase | None = None,
-        wem: WordEmbeddingModel | None = None,
-        config: TUSConfig | None = None,
-    ) -> "TUS":
+    def build(spark: SparkSession, cells: DataFrame) -> "TUS":
         from repro.lake.tables import attrs_df
 
-        cfg = config or TUSConfig()
-        kb = kb or KnowledgeBase()
-        wem = wem or WordEmbeddingModel(dim=cfg.wem_dim)
+        kb = KnowledgeBase()
+        wem = WordEmbeddingModel()
         cells = cells.cache()
         attrs = attrs_df(cells).cache()
 
         vf = value_sets(cells).cache()
         sf = semantic_sets(cells, kb).cache()
-        idx_v = lsh.LshIndex.build(
-            minhash.signatures_df(vf, n_hashes=cfg.n_hashes, seed=cfg.seed),
-            kind="jaccard",
-            n_bands=cfg.n_bands_jaccard,
-        )
-        idx_s = lsh.LshIndex.build(
-            minhash.signatures_df(sf, n_hashes=cfg.n_hashes, seed=cfg.seed + 1),
-            kind="jaccard",
-            n_bands=cfg.n_bands_jaccard,
-        )
-        idx_e = lsh.LshIndex.build(
-            randproj.bit_signatures_df(
-                token_vectors(cells, wem), dim=cfg.wem_dim, n_bits=cfg.n_hashes, seed=cfg.seed + 2
-            ),
-            kind="cosine",
-            n_bands=cfg.n_bands_cosine,
-        )
+        idx_v = lsh.minhash_index(vf, seed=_SEED)
+        idx_s = lsh.minhash_index(sf, seed=_SEED + 1)
+        idx_e = lsh.simhash_index(token_vectors(cells, wem), dim=wem.dim, seed=_SEED + 2)
         return TUS(
             spark=spark,
             cells=cells,
             attrs=attrs,
             kb=kb,
-            wem=wem,
             value_feats=vf,
             semantic_feats=sf,
             index_value=idx_v,
             index_semantic=idx_s,
             index_nl=idx_e,
-            config=cfg,
         )
 
     def materialize(self) -> dict[str, int]:
@@ -253,7 +225,6 @@ class TUS(LakeSearch):
         exact unionability is computed on every blocked candidate pair.
         """
         self.check_query(target_tables, k)
-        floor = self.config.min_similarity
         target_cells = self.cells.where(F.col("table").isin(target_tables))
 
         # Query-time feature recomputation (deliberate, faithful cost).
@@ -263,7 +234,7 @@ class TUS(LakeSearch):
         hits = lsh.lookup(
             {"value": self.index_value, "semantic": self.index_semantic, "nl": self.index_nl},
             self.target_attrs(target_tables),
-            min_similarity=floor,
+            min_similarity=lsh.MIN_SIMILARITY,
         )
 
         def _hits(evidence: str) -> pd.DataFrame:
@@ -308,6 +279,3 @@ class TUS(LakeSearch):
             ranking = [(t, float(s)) for t, s in score.items()]
             results[target] = SearchResult(target=target, ranking=ranking, alignments=a)
         return results
-
-    def search(self, target_table: str, k: int) -> SearchResult:
-        return self.search_many([target_table], k)[target_table]

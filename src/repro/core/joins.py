@@ -26,17 +26,11 @@ from repro.core import distances as dist
 from repro.core import lsh
 from repro.core.ranking import D3L
 
-
-def overlap_lower_bound(tau: float, size_a: int, size_b: int) -> float:
-    """§IV's inclusion-exclusion bound: if J(A, B) >= tau then
-    ov(A, B) >= tau * (|A| + |B|) / ((1 + tau) * min(|A|, |B|))."""
-    lo = min(size_a, size_b)
-    if lo == 0:
-        return 0.0
-    return min(1.0, tau * (size_a + size_b) / ((1.0 + tau) * lo))
+#: The paper's LSH threshold tau (§V footnote 5), the SA-edge floor.
+TAU = 0.7
 
 
-def sa_join_edges(d3l: D3L, *, tau: float | None = None) -> DataFrame:
+def sa_join_edges(d3l: D3L, *, tau: float = TAU) -> DataFrame:
     """The SA-join graph's edge list ``(t1, t2, similarity)`` (t1 < t2).
 
     Built by querying I_V with every *subject attribute* and keeping
@@ -44,7 +38,6 @@ def sa_join_edges(d3l: D3L, *, tau: float | None = None) -> DataFrame:
     "I_V-based evidence that the tsets overlap" with the LSH threshold.
     The edges are computed on the driver and returned as a DataFrame.
     """
-    tau = d3l.config.tau if tau is None else tau
     hits = lsh.lookup({"v": d3l.index_v}, sorted(d3l.subject_attrs), min_similarity=tau)
     pairs = dist.with_tables(hits, d3l.attr_tables)
     # Normalise to undirected edges; either endpoint being a subject

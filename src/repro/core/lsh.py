@@ -3,8 +3,9 @@
 The paper uses LSH Forest with threshold tau = 0.7 and 256 hashes per index
 (§V footnote 5). We implement the classic banded equivalent: a signature of
 n positions is cut into ``b`` bands of ``r = n/b`` rows; two attributes are
-*candidates* iff they share at least one (band, band_hash) bucket. Callers
-choose the banding (DESIGN.md §6; D3L's is in D3LConfig). For every
+*candidates* iff they share at least one (band, band_hash) bucket. The
+banding is fixed here (DESIGN.md §6): :func:`minhash_index` and
+:func:`simhash_index` build every index D3L, TUS and Aurum use. For every
 candidate pair the full signatures are re-compared, giving the actual
 distance estimate that feeds Eqs. 1-3 — banding is only a blocking step,
 exactly the role LSH Forest plays in the paper.
@@ -29,6 +30,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql.types import LongType, StringType, StructField, StructType
 
+from repro.core import minhash, randproj
 from repro.core.hashing import fold_rows64
 
 _BANDS_SCHEMA = StructType(
@@ -38,6 +40,24 @@ _BANDS_SCHEMA = StructType(
         StructField("band_hash", LongType(), False),
     ]
 )
+
+#: Banding of the MinHash indexes: b=64, r=4 -> S-curve midpoint ~0.35
+#: (MMDS §3.4). The paper's LSH Forest (tau=0.7) descends to shorter
+#: prefixes until k answers are found, so mid-similarity items are
+#: retrievable; a low banded threshold is the equivalent behaviour
+#: (distances are always re-estimated from full signatures afterwards).
+N_BANDS_JACCARD = 64
+#: Banding of the random-projection indexes: bit signatures of *unrelated*
+#: vectors already agree on ~50% of positions, so bands must be longer
+#: (b=32, r=8) to keep the false-candidate rate down.
+N_BANDS_COSINE = 32
+#: Lookup floor of D3L and TUS, applied after the full-signature re-check;
+#: keeps the pair table to attributes with non-trivial similarity. On the
+#: 60-table noise-0.6 benchmark lake the lowest estimated Jaccard among
+#: banded candidates is 0.105 or more on every MinHash index, so the floor
+#: drops no MinHash candidate; it filters only the embedding index (5,170
+#: -> 4,424 candidates).
+MIN_SIMILARITY = 0.05
 
 #: Candidate pairs whose signatures are compared per numpy step, bounding
 #: the gathered ``(pairs, hashes)`` blocks to a few MB.
@@ -129,15 +149,12 @@ class LshIndex:
     n_bands: int
 
     @staticmethod
-    def build(
-        signatures: DataFrame, *, kind: str, n_bands: int, cache: bool = True
-    ) -> "LshIndex":
+    def build(signatures: DataFrame, *, kind: str, n_bands: int) -> "LshIndex":
         if kind not in ("jaccard", "cosine"):
             raise ValueError(f"unknown similarity kind: {kind}")
-        bands = band_hashes_df(signatures, n_bands=n_bands)
-        if cache:
-            signatures = signatures.cache()
-            bands = bands.cache()
+        # Cache the signatures first, so the bands' cached plan reads them.
+        signatures = signatures.cache()
+        bands = band_hashes_df(signatures, n_bands=n_bands).cache()
         return LshIndex(signatures=signatures, bands=bands, kind=kind, n_bands=n_bands)
 
     @cached_property
@@ -159,6 +176,22 @@ class LshIndex:
                 df.unpersist()
             except Exception:  # pragma: no cover - best-effort cleanup
                 pass
+
+
+def minhash_index(features: DataFrame, *, seed: int) -> LshIndex:
+    """Jaccard index over ``(attr_id, feature)`` sets: 256 MinHash
+    permutations in :data:`N_BANDS_JACCARD` bands."""
+    return LshIndex.build(
+        minhash.signatures_df(features, seed=seed), kind="jaccard", n_bands=N_BANDS_JACCARD
+    )
+
+
+def simhash_index(vectors: DataFrame, *, dim: int, seed: int) -> LshIndex:
+    """Cosine index over ``(attr_id, vec)`` vectors of length ``dim``: 256
+    random-hyperplane bits in :data:`N_BANDS_COSINE` bands."""
+    return LshIndex.build(
+        randproj.bit_signatures_df(vectors, dim=dim, seed=seed), kind="cosine", n_bands=N_BANDS_COSINE
+    )
 
 
 def lookup(

@@ -2,7 +2,11 @@
 
 :class:`D3L` owns the four LSH indexes plus the numeric-extent store and
 subject-attribute table, and answers top-k queries through the Eq. 1-3
-aggregation framework. The build is Spark; queries run no Spark job.
+aggregation framework. The build takes only the Spark session and the
+lake's cells: the paper's hash count and banding and the lookup floor are
+constants of :mod:`repro.core.lsh`, the q-gram length and embedding size
+are the feature modules' defaults, and Eq. 3 uses
+``DEFAULT_EVIDENCE_WEIGHTS``. The build is Spark; queries run no Spark job.
 ``materialize`` collects what a query reads — the four indexes' driver
 copies, the attribute-to-table map, the numeric extents and the subject
 attributes — and ``search_many`` resolves any number of targets with one
@@ -16,7 +20,7 @@ from the repository, and the target itself is excluded from its answer).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import pandas as pd
@@ -24,34 +28,13 @@ import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import distances as dist
-from repro.core import features, lsh, minhash, randproj, subject, weights
+from repro.core import features, lsh, subject, weights
 from repro.embedding.wem import WordEmbeddingModel
 from repro.lake.tables import table_of
 
-
-@dataclass(frozen=True)
-class D3LConfig:
-    """Knobs; defaults follow the paper (§V footnote 5) where it gives them."""
-
-    n_hashes: int = 256
-    #: Banding for the MinHash indexes: b=64, r=4 -> S-curve midpoint ~0.35.
-    #: The paper's LSH Forest (tau=0.7) descends to shorter prefixes until k
-    #: answers are found, so mid-similarity items are retrievable; a low
-    #: banded threshold is the equivalent behaviour (distances are always
-    #: re-estimated from full signatures afterwards).
-    n_bands_jaccard: int = 64
-    #: Banding for the random-projection index: bit signatures of *unrelated*
-    #: vectors already agree on ~50% of positions, so bands must be longer
-    #: (b=32, r=8) to keep the false-candidate rate down.
-    n_bands_cosine: int = 32
-    q: int = 4
-    wem_dim: int = 50
-    #: candidate floor applied after full-signature re-check; keeps the pair
-    #: table focused on attributes with non-trivial similarity.
-    min_similarity: float = 0.05
-    #: LSH threshold tau used for join discovery (§IV).
-    tau: float = 0.7
-    seed: int = 7
+#: Seed of the name index; the value, format and embedding indexes use
+#: ``_SEED + 1`` .. ``_SEED + 3``.
+_SEED = 7
 
 
 @dataclass
@@ -72,8 +55,9 @@ class SearchResult:
 
 
 class LakeSearch:
-    """Query validation and the attribute-to-table map shared by D3L, TUS
-    and Aurum (each has ``attrs``)."""
+    """Query validation, the attribute-to-table map and the single-target
+    :meth:`search` shared by D3L, TUS and Aurum (each has ``attrs`` and
+    ``search_many``)."""
 
     @cached_property
     def attr_tables(self) -> pd.DataFrame:
@@ -103,6 +87,10 @@ class LakeSearch:
         if twice:
             raise ValueError(f"duplicate targets: {twice}")
 
+    def search(self, target_table: str, k: int, **kw) -> SearchResult:
+        """Single-target convenience wrapper over ``search_many``."""
+        return self.search_many([target_table], k, **kw)[target_table]
+
 
 @dataclass
 class D3L(LakeSearch):
@@ -118,52 +106,28 @@ class D3L(LakeSearch):
     extents: DataFrame
     subjects: DataFrame
     tset_sizes: DataFrame
-    config: D3LConfig
-    evidence_weights: dict[str, float] = field(
-        default_factory=lambda: dict(weights.DEFAULT_EVIDENCE_WEIGHTS)
-    )
 
     # -- construction --------------------------------------------------------
 
     @staticmethod
-    def build(
-        spark: SparkSession,
-        cells: DataFrame,
-        *,
-        wem: WordEmbeddingModel | None = None,
-        config: D3LConfig | None = None,
-        subject_model=None,
-    ) -> "D3L":
+    def build(spark: SparkSession, cells: DataFrame) -> "D3L":
         """Algorithm 1 over every attribute of the lake."""
         from repro.lake.tables import attrs_df
 
-        cfg = config or D3LConfig()
-        wem = wem or WordEmbeddingModel(dim=cfg.wem_dim)
+        wem = WordEmbeddingModel()
         cells = cells.cache()
         attrs = attrs_df(cells).cache()
 
-        sig_n = minhash.signatures_df(
-            features.name_qgrams(attrs, q=cfg.q), n_hashes=cfg.n_hashes, seed=cfg.seed
-        )
+        index_n = lsh.minhash_index(features.name_qgrams(attrs), seed=_SEED)
         tsets = features.informative_tokens(cells).cache()
-        sig_v = minhash.signatures_df(tsets, n_hashes=cfg.n_hashes, seed=cfg.seed + 1)
-        sig_f = minhash.signatures_df(
-            features.format_strings(cells), n_hashes=cfg.n_hashes, seed=cfg.seed + 2
+        index_v = lsh.minhash_index(tsets, seed=_SEED + 1)
+        index_f = lsh.minhash_index(features.format_strings(cells), seed=_SEED + 2)
+        index_e = lsh.simhash_index(
+            features.embedding_vectors(cells, wem), dim=wem.dim, seed=_SEED + 3
         )
-        sig_e = randproj.bit_signatures_df(
-            features.embedding_vectors(cells, wem),
-            dim=cfg.wem_dim,
-            n_bits=cfg.n_hashes,
-            seed=cfg.seed + 3,
-        )
-
-        index_n = lsh.LshIndex.build(sig_n, kind="jaccard", n_bands=cfg.n_bands_jaccard)
-        index_v = lsh.LshIndex.build(sig_v, kind="jaccard", n_bands=cfg.n_bands_jaccard)
-        index_f = lsh.LshIndex.build(sig_f, kind="jaccard", n_bands=cfg.n_bands_jaccard)
-        index_e = lsh.LshIndex.build(sig_e, kind="cosine", n_bands=cfg.n_bands_cosine)
 
         extents = dist.numeric_extents(cells).cache()
-        subjects = subject.subject_attributes(cells, subject_model).cache()
+        subjects = subject.subject_attributes(cells).cache()
         tset_sizes = tsets.groupBy("attr_id").agg(F.count("*").alias("tset_size")).cache()
         tsets.unpersist()
 
@@ -178,7 +142,6 @@ class D3L(LakeSearch):
             extents=extents,
             subjects=subjects,
             tset_sizes=tset_sizes,
-            config=cfg,
         )
 
     def materialize(self) -> dict[str, int]:
@@ -227,7 +190,7 @@ class D3L(LakeSearch):
         the tagged lookup over the four driver copies, pivoted to distances,
         then Algorithm 2 — all on the driver."""
         hits = lsh.lookup(
-            self._indexes(), self.target_attrs(target_tables), min_similarity=self.config.min_similarity
+            self._indexes(), self.target_attrs(target_tables), min_similarity=lsh.MIN_SIMILARITY
         )
         pairs = dist.pair_table(hits, self.attr_tables)
         return dist.domain_distances(pairs, self.extent_values, self.subject_attrs)
@@ -268,7 +231,7 @@ class D3L(LakeSearch):
         for target in target_tables:
             tv = table_vectors[table_vectors["q_table"] == target].copy()
             if evidence is None:
-                scored = weights.combine_eq3(tv, self.evidence_weights)
+                scored = weights.combine_eq3(tv)
             else:
                 scored = tv.copy()
                 scored["score"] = scored[f"D_{evidence}"]
@@ -277,7 +240,3 @@ class D3L(LakeSearch):
             a = align[align["q_table"] == target].reset_index(drop=True)
             results[target] = SearchResult(target=target, ranking=ranking, alignments=a)
         return results
-
-    def search(self, target_table: str, k: int, **kw) -> SearchResult:
-        """Single-target convenience wrapper over :meth:`search_many`."""
-        return self.search_many([target_table], k, **kw)[target_table]

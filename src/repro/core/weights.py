@@ -91,18 +91,15 @@ def weighted_means(pairs_w: pd.DataFrame) -> pd.DataFrame:
     return out
 
 
-def combine_eq3(
-    table_vectors: pd.DataFrame,
-    evidence_weights: dict[str, float] | None = None,
-) -> pd.DataFrame:
-    """Eq. 3: weighted L2 norm of each 5-d distance vector -> scalar score.
+def combine_eq3(table_vectors: pd.DataFrame) -> pd.DataFrame:
+    """Eq. 3: weighted L2 norm of each 5-d distance vector -> scalar score,
+    with ``DEFAULT_EVIDENCE_WEIGHTS``.
 
     ``table_vectors`` is the collected Eq. 1 output (columns ``q_table``,
     ``s_table``, ``D_n`` .. ``D_d``). Returns it with a ``score`` column,
     smaller = more related.
     """
-    w = evidence_weights or DEFAULT_EVIDENCE_WEIGHTS
-    weights = np.array([w[t] for t in EVIDENCE_TYPES], dtype=np.float64)
+    weights = np.array([DEFAULT_EVIDENCE_WEIGHTS[t] for t in EVIDENCE_TYPES], dtype=np.float64)
     dv = table_vectors[[f"D_{t}" for t in EVIDENCE_TYPES]].to_numpy(dtype=np.float64)
     score = np.sqrt(np.sum((weights * dv) ** 2, axis=1) / weights.sum())
     out = table_vectors.copy()

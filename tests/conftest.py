@@ -9,7 +9,7 @@ import pytest
 
 from repro.baselines.aurum import Aurum
 from repro.baselines.tus import TUS
-from repro.core.ranking import D3L, D3LConfig
+from repro.core.ranking import D3L
 from repro.lake import generator, tables
 
 # The root conftest reads this lazily when the session fixture first runs
@@ -56,14 +56,14 @@ def clean_attrs(clean_cells):
 
 @pytest.fixture(scope="session")
 def d3l_clean(spark, clean_cells):
-    d = D3L.build(spark, clean_cells, config=D3LConfig())
+    d = D3L.build(spark, clean_cells)
     d.materialize()
     return d
 
 
 @pytest.fixture(scope="session")
 def d3l_noisy(spark, noisy_cells):
-    d = D3L.build(spark, noisy_cells, config=D3LConfig())
+    d = D3L.build(spark, noisy_cells)
     d.materialize()
     return d
 

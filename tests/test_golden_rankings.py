@@ -21,8 +21,8 @@ import json
 import os
 from pathlib import Path
 
-from repro.core.ranking import D3L, D3LConfig
 from repro.core import joins
+from repro.core.ranking import D3L
 from repro.eval import harness
 
 GOLDEN = Path(__file__).with_name("golden_rankings.json")
@@ -145,7 +145,7 @@ def test_d3l_rankings_invariant_to_shuffle_partitions(spark, d3l_clean, d3l_nois
 
 
 def test_d3l_rankings_invariant_to_cell_partitioning(spark, noisy_cells):
-    d3l = D3L.build(spark, noisy_cells.repartition(13), config=D3LConfig())
+    d3l = D3L.build(spark, noisy_cells.repartition(13))
     try:
         wrong = _mismatches(json.loads(GOLDEN.read_text()), {"d3l_noisy": d3l})
     finally:

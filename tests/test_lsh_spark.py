@@ -6,7 +6,7 @@ import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
-from repro.core import lsh, minhash, randproj
+from repro.core import features, lsh, minhash, randproj
 from repro.core.hashing import HashFamily, fold_rows64
 from repro.oracle import assert_equivalent
 
@@ -98,25 +98,25 @@ class TestBandIndex:
         assert a == d
 
     def test_lookup_finds_identical(self, spark, sigs):
-        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32, cache=False)
+        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32)
         assert _hits(index, ["A"])["D"] == pytest.approx(1.0)
 
     def test_lookup_excludes_self(self, spark, sigs):
-        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32, cache=False)
+        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32)
         assert "A" not in _hits(index, ["A"])
 
     def test_lookup_mid_similarity_with_fine_bands(self, spark, sigs):
-        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=64, cache=False)
+        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=64)
         hits = _hits(index, ["A"])
         assert "B" in hits
         assert 0.25 < hits["B"] < 0.75
 
     def test_min_similarity_filter(self, spark, sigs):
-        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=64, cache=False)
+        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=64)
         assert set(_hits(index, ["A"], min_similarity=0.9)) == {"D"}
 
     def test_disjoint_not_candidates(self, spark, sigs):
-        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32, cache=False)
+        index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32)
         assert _hits(index, ["C"]) == {}
 
     def test_build_rejects_bad_kind(self, sigs):
@@ -169,7 +169,7 @@ def _cosine_index(spark, ids=("a", "b", "c")):
         )
     )
     sigs = randproj.bit_signatures_df(vecs, dim=50)
-    return lsh.LshIndex.build(sigs, kind="cosine", n_bands=32, cache=False)
+    return lsh.LshIndex.build(sigs, kind="cosine", n_bands=32)
 
 
 class TestCosineIndex:
@@ -184,7 +184,7 @@ class TestTaggedLookup:
         """One lookup over a Jaccard and a cosine index sharing attr ids
         returns, per evidence, exactly that index's own lookup."""
         indexes = {
-            "j": lsh.LshIndex.build(sigs, kind="jaccard", n_bands=64, cache=False),
+            "j": lsh.LshIndex.build(sigs, kind="jaccard", n_bands=64),
             "c": _cosine_index(spark, ids=("A", "B", "C")),
         }
         q = ["A", "B", "C"]
@@ -263,3 +263,64 @@ class TestServedIndex:
             np.testing.assert_array_equal(got["similarity"], want["frac"])
         else:
             np.testing.assert_allclose(got["similarity"], want["cos_sim"], rtol=0, atol=1e-12)
+
+
+class TestBandingRecall:
+    """The MinHash banding in :mod:`repro.core.lsh` retrieves every exact
+    Jaccard bucket of ``d3l_noisy`` at least as often as its S-curve
+    ``1 - (1 - s^r)^b`` at the bucket's lower end promises (MMDS §3.4).
+
+    The tolerance is three binomial standard errors of the bucket's share,
+    ``3 * sqrt(p * (1 - p) / pairs)``: each pair is a candidate with
+    probability at least ``p``, but a bucket holds only tens to hundreds of
+    pairs, so its share scatters around its expectation by that much.
+    """
+
+    BUCKETS = [(0.3, 0.5), (0.5, 0.7), (0.7, 1.0)]
+
+    @pytest.fixture(scope="class", params=["n", "v"])
+    def pairs(self, request, d3l_noisy):
+        """Every attribute pair with a shared feature: its exact Jaccard
+        (DuckDB) and whether the index returns it as a candidate."""
+        evidence = request.param
+        feats = (
+            features.name_qgrams(d3l_noisy.attrs)
+            if evidence == "n"
+            else features.informative_tokens(d3l_noisy.cells)
+        ).toPandas()
+        con = duckdb.connect()
+        try:
+            con.register("feats", feats)
+            exact = con.execute(
+                """
+                WITH f AS (SELECT DISTINCT attr_id, feature FROM feats),
+                sizes AS (SELECT attr_id, COUNT(*) AS n FROM f GROUP BY attr_id),
+                inter AS (
+                    SELECT a.attr_id AS a, b.attr_id AS b, COUNT(*) AS i
+                    FROM f a JOIN f b ON a.feature = b.feature AND a.attr_id < b.attr_id
+                    GROUP BY a.attr_id, b.attr_id)
+                SELECT inter.a, inter.b, inter.i::DOUBLE / (sa.n + sb.n - inter.i) AS jaccard
+                FROM inter
+                JOIN sizes sa ON sa.attr_id = inter.a
+                JOIN sizes sb ON sb.attr_id = inter.b
+                """
+            ).fetchdf()
+        finally:
+            con.close()
+        index = d3l_noisy._indexes()[evidence]
+        hits = lsh.lookup({evidence: index}, index.served.attr_ids, min_similarity=0)
+        found = set(zip(hits["query_attr"], hits["attr_id"]))
+        exact["found"] = [(a, b) in found for a, b in zip(exact["a"], exact["b"])]
+        return exact
+
+    @pytest.mark.parametrize("lo,hi", BUCKETS)
+    def test_bucket_recall_meets_s_curve(self, pairs, lo, hi):
+        s = pairs["jaccard"]
+        bucket = pairs[(s >= lo) & ((s < hi) | (hi == 1.0))]
+        b = lsh.N_BANDS_JACCARD
+        r = minhash.DEFAULT_N_HASHES // b
+        p = 1.0 - (1.0 - lo**r) ** b
+        tol = 3.0 * np.sqrt(p * (1.0 - p) / len(bucket))
+        assert len(bucket) > 0
+        recall = bucket["found"].mean()
+        assert recall >= p - tol, f"{len(bucket)} pairs: recall {recall:.3f} < {p:.3f} - {tol:.3f}"

@@ -43,10 +43,11 @@ class TestCombineEq3:
             s1 = combine_eq3(_tv([("t", "s", *bumped)]))["score"].iloc[0]
             assert s1 > s0
 
-    def test_custom_weights(self):
+    def test_custom_weights(self, monkeypatch):
         tv = _tv([("t", "s", 1.0, 0.0, 0.0, 0.0, 0.0)])
         only_n = {t: (1.0 if t == "n" else 1e-9) for t in EVIDENCE_TYPES}
-        assert combine_eq3(tv, only_n)["score"].iloc[0] == pytest.approx(1.0, abs=1e-3)
+        monkeypatch.setattr("repro.core.weights.DEFAULT_EVIDENCE_WEIGHTS", only_n)
+        assert combine_eq3(tv)["score"].iloc[0] == pytest.approx(1.0, abs=1e-3)
 
     def test_default_weights_sum_to_one(self):
         assert sum(DEFAULT_EVIDENCE_WEIGHTS.values()) == pytest.approx(1.0)
