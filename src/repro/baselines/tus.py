@@ -198,9 +198,9 @@ class TUS(LakeSearch):
             ("semantic", self.index_semantic),
             ("nl", self.index_nl),
         ):
-            counts[f"sig_{name}"] = idx.signatures.count()
-            counts[f"bands_{name}"] = idx.bands.count()
-            idx.served  # the driver copy the query's lookup probes
+            # Counted from the driver copy the query's lookup probes.
+            counts[f"sig_{name}"] = len(idx.served.attr_ids)
+            counts[f"bands_{name}"] = counts[f"sig_{name}"] * idx.n_bands
         counts["value_feats"] = self.value_feats.count()
         counts["semantic_feats"] = self.semantic_feats.count()
         self.tables

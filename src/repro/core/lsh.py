@@ -10,14 +10,13 @@ candidate pair the full signatures are re-compared, giving the actual
 distance estimate that feeds Eqs. 1-3 — banding is only a blocking step,
 exactly the role LSH Forest plays in the paper.
 
-The build is lake-sized and runs in Spark: an index is the DataFrames
-``(attr_id, sig)`` and ``(attr_id, band, band_hash)``. The built index is
-only |attributes| x (hashes + bands) integers, so queries are served, as
-the paper serves its in-memory LSH Forests, from a driver copy
-(:attr:`LshIndex.served`): one collect of the signatures, banded by the
-same :func:`band_hashes` kernel the Spark ``bands`` table is built with.
-:func:`lookup` probes any number of indexes under an ``evidence`` tag and
-returns the candidate-sized hits as pandas.
+The signature pass is lake-sized and runs in Spark: it yields the cached
+DataFrame ``(attr_id, sig)``. The built index is only |attributes| x
+(hashes + bands) integers, so it ends, as the paper's in-memory LSH Forests
+do, at a driver copy (:attr:`LshIndex.served`): one collect of the
+signatures, banded by the :func:`band_hashes` kernel. :func:`lookup` probes
+any number of indexes under an ``evidence`` tag and returns the
+candidate-sized hits as pandas.
 """
 from __future__ import annotations
 
@@ -28,18 +27,9 @@ from functools import cached_property
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql.types import LongType, StringType, StructField, StructType
 
 from repro.core import minhash, randproj
 from repro.core.hashing import fold_rows64
-
-_BANDS_SCHEMA = StructType(
-    [
-        StructField("attr_id", StringType(), False),
-        StructField("band", LongType(), False),
-        StructField("band_hash", LongType(), False),
-    ]
-)
 
 #: Banding of the MinHash indexes: b=64, r=4 -> S-curve midpoint ~0.35
 #: (MMDS §3.4). The paper's LSH Forest (tau=0.7) descends to shorter
@@ -56,7 +46,7 @@ N_BANDS_COSINE = 32
 #: 60-table noise-0.6 benchmark lake the lowest estimated Jaccard among
 #: banded candidates is 0.105 or more on every MinHash index, so the floor
 #: drops no MinHash candidate; it filters only the embedding index (5,170
-#: -> 4,424 candidates).
+#: -> 4,424 candidates). It still shapes the answers (DESIGN.md §6).
 MIN_SIMILARITY = 0.05
 
 #: Candidate pairs whose signatures are compared per numpy step, bounding
@@ -77,22 +67,6 @@ def band_hashes(sigs: np.ndarray, n_bands: int) -> np.ndarray:
     n, h = sigs.shape
     rows = np.ascontiguousarray(sigs, dtype=np.int64).view(np.uint64)
     return fold_rows64(rows.reshape(n * n_bands, h // n_bands)).view(np.int64).reshape(n, n_bands)
-
-
-def band_hashes_df(signatures: DataFrame, *, n_bands: int) -> DataFrame:
-    """Explode ``(attr_id, sig)`` into ``(attr_id, band, band_hash)`` rows."""
-
-    def _bands(batch: pd.DataFrame) -> pd.DataFrame:
-        hashes = band_hashes(signature_matrix(batch["sig"]), n_bands)
-        return pd.DataFrame(
-            {
-                "attr_id": np.repeat(batch["attr_id"].to_numpy(dtype=object), n_bands),
-                "band": np.tile(np.arange(n_bands, dtype=np.int64), len(batch)),
-                "band_hash": hashes.ravel(),
-            }
-        )
-
-    return signatures.mapInPandas(lambda it: map(_bands, it), schema=_BANDS_SCHEMA)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,18 +107,23 @@ class ServedIndex:
             equal[part] = np.count_nonzero(self.sigs[rows_q[part]] == self.sigs[rows_s[part]], axis=1)
         return rows_q, rows_s, equal / self.sigs.shape[1]
 
+    def band_table(self) -> pd.DataFrame:
+        """``(attr_id, band, band_hash)``: the band matrix in long format."""
+        table = self._buckets(np.arange(len(self.attr_ids)), self.bands)
+        return table.assign(row=self.attr_ids[table["row"]]).rename(columns={"row": "attr_id"})
+
 
 @dataclass
 class LshIndex:
     """One of the paper's four indexes (I_N, I_V, I_F, I_E).
 
-    ``signatures`` holds every indexed attribute's full signature;
-    ``bands`` is the bucket table. ``kind`` selects the similarity estimator
-    ('jaccard' for MinHash signatures, 'cosine' for SimHash bit signatures).
+    ``signatures`` (cached in Spark) holds every indexed attribute's full
+    signature; :attr:`served` is the driver copy every lookup probes.
+    ``kind`` selects the similarity estimator ('jaccard' for MinHash
+    signatures, 'cosine' for SimHash bit signatures).
     """
 
     signatures: DataFrame
-    bands: DataFrame
     kind: str
     n_bands: int
 
@@ -152,10 +131,7 @@ class LshIndex:
     def build(signatures: DataFrame, *, kind: str, n_bands: int) -> "LshIndex":
         if kind not in ("jaccard", "cosine"):
             raise ValueError(f"unknown similarity kind: {kind}")
-        # Cache the signatures first, so the bands' cached plan reads them.
-        signatures = signatures.cache()
-        bands = band_hashes_df(signatures, n_bands=n_bands).cache()
-        return LshIndex(signatures=signatures, bands=bands, kind=kind, n_bands=n_bands)
+        return LshIndex(signatures=signatures.cache(), kind=kind, n_bands=n_bands)
 
     @cached_property
     def served(self) -> ServedIndex:
@@ -169,13 +145,21 @@ class LshIndex:
             bands=band_hashes(sigs, self.n_bands),
         )
 
+    @property
+    def bands(self) -> DataFrame:
+        """The bucket table ``(attr_id, band, band_hash)``: an uncached Spark
+        view of :attr:`served`'s band matrix, for readers outside the query
+        path, such as bucket-size statistics."""
+        return self.signatures.sparkSession.createDataFrame(
+            self.served.band_table(), schema="attr_id string, band long, band_hash long"
+        )
+
     def unpersist(self) -> None:
         self.__dict__.pop("served", None)
-        for df in (self.signatures, self.bands):
-            try:
-                df.unpersist()
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
+        try:
+            self.signatures.unpersist()
+        except Exception:  # pragma: no cover - best-effort cleanup
+            pass
 
 
 def minhash_index(features: DataFrame, *, seed: int) -> LshIndex:

@@ -7,9 +7,10 @@ lake's cells: the paper's hash count and banding and the lookup floor are
 constants of :mod:`repro.core.lsh`, the q-gram length and embedding size
 are the feature modules' defaults, and Eq. 3 uses
 ``DEFAULT_EVIDENCE_WEIGHTS``. The build is Spark; queries run no Spark job.
-``materialize`` collects what a query reads — the four indexes' driver
-copies, the attribute-to-table map, the numeric extents and the subject
-attributes — and ``search_many`` resolves any number of targets with one
+The build collects the attribute profile, which gives the attribute-to-table
+map and the subject attributes; ``materialize`` collects the rest of what a
+query reads — the four indexes' driver copies and the numeric extents —
+and ``search_many`` resolves any number of targets with one
 tagged lookup over the four driver copies, then runs Algorithm 2 and
 Eq. 1-3 on the candidate pair table in the driver: the pairs are
 candidate-sized, not lake-sized.
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import pandas as pd
-import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import distances as dist
@@ -104,8 +104,8 @@ class D3L(LakeSearch):
     index_f: lsh.LshIndex
     index_e: lsh.LshIndex
     extents: DataFrame
-    subjects: DataFrame
-    tset_sizes: DataFrame
+    #: ``(table, attr_id)``: each table's subject attribute, if it has one.
+    subjects: pd.DataFrame
 
     # -- construction --------------------------------------------------------
 
@@ -117,48 +117,36 @@ class D3L(LakeSearch):
         wem = WordEmbeddingModel()
         cells = cells.cache()
         attrs = attrs_df(cells).cache()
+        profile = attrs.toPandas()
 
-        index_n = lsh.minhash_index(features.name_qgrams(attrs), seed=_SEED)
-        tsets = features.informative_tokens(cells).cache()
-        index_v = lsh.minhash_index(tsets, seed=_SEED + 1)
-        index_f = lsh.minhash_index(features.format_strings(cells), seed=_SEED + 2)
-        index_e = lsh.simhash_index(
-            features.embedding_vectors(cells, wem), dim=wem.dim, seed=_SEED + 3
-        )
-
-        extents = dist.numeric_extents(cells).cache()
-        subjects = subject.subject_attributes(cells).cache()
-        tset_sizes = tsets.groupBy("attr_id").agg(F.count("*").alias("tset_size")).cache()
-        tsets.unpersist()
-
-        return D3L(
+        d3l = D3L(
             spark=spark,
             cells=cells,
             attrs=attrs,
-            index_n=index_n,
-            index_v=index_v,
-            index_f=index_f,
-            index_e=index_e,
-            extents=extents,
-            subjects=subjects,
-            tset_sizes=tset_sizes,
+            index_n=lsh.minhash_index(features.name_qgrams(attrs), seed=_SEED),
+            index_v=lsh.minhash_index(features.informative_tokens(cells), seed=_SEED + 1),
+            index_f=lsh.minhash_index(features.format_strings(cells), seed=_SEED + 2),
+            index_e=lsh.simhash_index(
+                features.embedding_vectors(cells, wem), dim=wem.dim, seed=_SEED + 3
+            ),
+            extents=dist.numeric_extents(cells).cache(),
+            subjects=subject.pick_subjects(subject.attribute_features(profile)),
         )
+        d3l.attr_tables = profile[["attr_id", "table", "is_numeric"]]
+        return d3l
 
     def materialize(self) -> dict[str, int]:
-        """Force every index structure and collect the driver copies a query
-        reads, so no query pays for laziness; returns the Spark tables' row
-        counts (used by the indexing-time experiment)."""
+        """Collect the driver copies every query reads, so the first query
+        starts no Spark job; returns the sizes of what was built, counted
+        from those copies (used by the indexing-time experiment)."""
         counts = {}
         for name, idx in self._indexes().items():
-            counts[f"sig_{name}"] = idx.signatures.count()
-            counts[f"bands_{name}"] = idx.bands.count()
-        counts["extents"] = self.extents.count()
-        counts["subjects"] = self.subjects.count()
-        counts["tset_sizes"] = self.tset_sizes.count()
-        # Collect what every query reads, so the first one starts no Spark job.
-        for idx in self._indexes().values():
-            idx.served
-        self.tables, self.extent_values, self.subject_attrs
+            counts[f"sig_{name}"] = len(idx.served.attr_ids)
+            counts[f"bands_{name}"] = counts[f"sig_{name}"] * idx.n_bands
+        counts["extents"] = len(self.extent_values)
+        counts["subjects"] = len(self.subjects)
+        # An attribute has a value signature exactly when its tset is non-empty.
+        counts["tset_sizes"] = counts["sig_v"]
         return counts
 
     def _indexes(self) -> dict[str, lsh.LshIndex]:
@@ -167,7 +155,7 @@ class D3L(LakeSearch):
     def unpersist(self) -> None:
         for idx in self._indexes().values():
             idx.unpersist()
-        for df in (self.cells, self.attrs, self.extents, self.subjects, self.tset_sizes):
+        for df in (self.cells, self.attrs, self.extents):
             try:
                 df.unpersist()
             except Exception:  # pragma: no cover
@@ -178,7 +166,7 @@ class D3L(LakeSearch):
     @cached_property
     def subject_attrs(self) -> frozenset[str]:
         """Attribute ids of the lake's subject attributes (at most one per table)."""
-        return frozenset(r["attr_id"] for r in self.subjects.collect())
+        return frozenset(self.subjects["attr_id"])
 
     @cached_property
     def extent_values(self) -> pd.DataFrame:

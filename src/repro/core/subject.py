@@ -22,39 +22,34 @@ from functools import lru_cache
 
 import numpy as np
 import pandas as pd
-import pyspark.sql.functions as F
-from pyspark.sql import DataFrame
 
 from repro.ml.logreg import LogisticRegression
 
 FEATURES = ["pos_frac", "non_numeric", "null_ratio", "distinct_ratio", "avg_len"]
 
 
-def attribute_features(cells: DataFrame) -> DataFrame:
-    """Per-attribute detector features, from the long-format cells."""
-    table_stats = cells.groupBy("table").agg(
-        (F.max("row_idx") + 1).alias("n_rows"),
-        (F.max("col_idx") + 1).alias("n_cols"),
-    )
-    per_attr = cells.groupBy("attr_id", "table", "col_idx").agg(
-        F.max("is_numeric").alias("is_numeric"),
-        F.count("*").alias("n_values"),
-        F.countDistinct("value").alias("n_distinct"),
-        F.avg(F.length("value")).alias("avg_len"),
-    )
-    return per_attr.join(table_stats, "table").select(
-        "attr_id",
-        "table",
-        (F.col("col_idx") / F.greatest(F.col("n_cols") - 1, F.lit(1))).alias("pos_frac"),
-        (1 - F.col("is_numeric").cast("double")).alias("non_numeric"),
-        (1.0 - F.col("n_values") / F.col("n_rows")).alias("null_ratio"),
-        (F.col("n_distinct") / F.col("n_values")).alias("distinct_ratio"),
-        F.col("avg_len"),
+def attribute_features(profile: pd.DataFrame) -> pd.DataFrame:
+    """Per-attribute detector features from the collected attribute profile
+    (:func:`repro.lake.tables.attrs_df`); a table's rows and columns are
+    its last row and column holding a value."""
+    per_table = profile.groupby("table")
+    n_rows = per_table["max_row_idx"].transform("max") + 1
+    n_cols = per_table["col_idx"].transform("max") + 1
+    return pd.DataFrame(
+        {
+            "attr_id": profile["attr_id"],
+            "table": profile["table"],
+            "pos_frac": profile["col_idx"] / np.maximum(n_cols - 1, 1),
+            "non_numeric": 1.0 - profile["is_numeric"].astype(np.float64),
+            "null_ratio": 1.0 - profile["n_values"] / n_rows,
+            "distinct_ratio": profile["n_distinct"] / profile["n_values"],
+            "avg_len": profile["avg_len"],
+        }
     )
 
 
 def attribute_features_pandas(tables: dict[str, pd.DataFrame]) -> pd.DataFrame:
-    """Driver-side mirror of :func:`attribute_features` (used to train the
+    """:func:`attribute_features` from pandas tables (used to train the
     default model without a SparkSession; a test pins the two paths equal)."""
     cols = ["attr_id", "table", "col_name", *FEATURES]
     rows = []
@@ -121,9 +116,3 @@ def pick_subjects(features: pd.DataFrame, model: LogisticRegression | None = Non
     top = feats.groupby("table", as_index=False).first()
     return top[["table", "attr_id"]].reset_index(drop=True)
 
-
-def subject_attributes(cells: DataFrame, model: LogisticRegression | None = None) -> DataFrame:
-    """Spark wrapper: ``(table, attr_id)`` subject attribute per lake table."""
-    feats = attribute_features(cells).toPandas()
-    picked = pick_subjects(feats, model)
-    return cells.sparkSession.createDataFrame(picked, schema="table string, attr_id string")

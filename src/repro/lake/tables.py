@@ -7,8 +7,11 @@ A lake is materialised as two DataFrames:
   num_value)``. ``value`` is the string rendering (what the paper's Alg. 1
   tokenises); ``num_value`` is the parsed double for numeric attributes
   (what the KS statistic consumes).
-* ``attrs`` — one row per attribute:
-  ``(attr_id, table, col_idx, col_name, is_numeric)``.
+* ``attrs`` — one row per attribute, its profile:
+  ``(attr_id, table, col_idx, col_name, is_numeric, n_values, n_distinct,
+  avg_len, max_row_idx)`` — the non-null cells, their distinct values and
+  mean rendered length, and the last row holding a value (what the subject
+  detector reads, :mod:`repro.core.subject`).
 
 ``attr_id`` is ``"<table>||<column>"`` (column names are unique per table);
 table names may not contain the separator, so the table is the part before
@@ -101,9 +104,16 @@ def cells_df(spark: SparkSession, tables: dict[str, pd.DataFrame]) -> DataFrame:
 
 
 def attrs_df(cells: DataFrame) -> DataFrame:
-    """One row per attribute, derived from ``cells``."""
+    """One profile row per attribute, derived from ``cells``."""
     return (
         cells.groupBy("attr_id", "table", "col_idx", "col_name")
-        .agg(F.max("is_numeric").alias("is_numeric"), F.count("*").alias("n_values"))
+        .agg(
+            F.max("is_numeric").alias("is_numeric"),
+            F.count("*").alias("n_values"),
+            # One aggregation stage, where countDistinct would add a second.
+            F.size(F.collect_set("value")).alias("n_distinct"),
+            F.avg(F.length("value")).alias("avg_len"),
+            F.max("row_idx").alias("max_row_idx"),
+        )
         .orderBy("table", "col_idx")
     )

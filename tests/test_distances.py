@@ -148,7 +148,7 @@ class TestDomainDistancesOracle:
         con = duckdb.connect()
         try:
             con.register("pairs", pairs)
-            con.register("subjects", d3l.subjects.toPandas())
+            con.register("subjects", d3l.subjects)
             con.register("ext_ids", extents[["attr_id"]])
             admitted = con.execute(
                 """

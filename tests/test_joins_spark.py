@@ -37,7 +37,7 @@ class TestSAJoinEdges:
     def test_subject_condition(self, edges, d3l_clean):
         """Every edge touches at least one subject attribute (built by
         querying I_V with subject attrs only)."""
-        subjects = {r["table"] for r in d3l_clean.subjects.collect()}
+        subjects = set(d3l_clean.subjects["table"])
         for a, b in zip(edges["t1"], edges["t2"]):
             assert a in subjects or b in subjects
 

@@ -1,9 +1,8 @@
-"""Spark MinHash signatures, the banded LSH index built in Spark and its
+"""Spark MinHash signatures and the banded LSH index built from them: its
 driver copy, which serves every lookup."""
 import duckdb
 import numpy as np
 import pandas as pd
-import pyspark.sql.functions as F
 import pytest
 
 from repro.core import features, lsh, minhash, randproj
@@ -73,11 +72,17 @@ class TestSignaturesDf:
         assert s1 == s2
 
 
+@pytest.fixture(scope="module")
+def served32(sigs):
+    """The driver copy of a 32-band index over ``sigs``."""
+    return lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32).served
+
+
 class TestBandIndex:
-    def test_band_count(self, sigs):
-        bands = lsh.band_hashes_df(sigs, n_bands=32)
-        counts = bands.groupBy("attr_id").count().collect()
-        assert all(r["count"] == 32 for r in counts)
+    def test_band_count(self, served32, toy_sets):
+        assert served32.bands.shape == (len(toy_sets), 32)
+        counts = served32.band_table().groupby("attr_id").size()
+        assert (counts == 32).all()
 
     def test_band_hashes_equal_per_row_fold(self, sigs):
         """The vectorised kernel equals folding each signature's bands one
@@ -91,11 +96,9 @@ class TestBandIndex:
         )
         np.testing.assert_array_equal(lsh.band_hashes(lsh.signature_matrix(pdf["sig"]), 32), want)
 
-    def test_identical_sets_share_every_band(self, sigs):
-        bands = lsh.band_hashes_df(sigs, n_bands=32).toPandas()
-        a = bands[bands.attr_id == "A"].sort_values("band")["band_hash"].tolist()
-        d = bands[bands.attr_id == "D"].sort_values("band")["band_hash"].tolist()
-        assert a == d
+    def test_identical_sets_share_every_band(self, served32):
+        row = dict(zip(served32.attr_ids, served32.bands))
+        np.testing.assert_array_equal(row["A"], row["D"])
 
     def test_lookup_finds_identical(self, spark, sigs):
         index = lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32)
@@ -123,23 +126,13 @@ class TestBandIndex:
         with pytest.raises(ValueError):
             lsh.LshIndex.build(sigs, kind="hamming", n_bands=32)
 
-    def test_candidate_join_oracle(self, spark, sigs):
-        """The banded candidate join agrees with DuckDB's join over the
-        same band table."""
-        bands_pdf = lsh.band_hashes_df(sigs, n_bands=32).toPandas()
-        got = (
-            lsh.band_hashes_df(sigs, n_bands=32)
-            .alias("q")
-            .join(
-                lsh.band_hashes_df(sigs, n_bands=32).alias("s"),
-                ["band", "band_hash"],
-            )
-            .where(F.col("q.attr_id") < F.col("s.attr_id"))
-            .select(
-                F.col("q.attr_id").alias("a1"), F.col("s.attr_id").alias("a2")
-            )
-            .distinct()
-        )
+    def test_candidate_join_oracle(self, served32):
+        """The driver probe's candidate pairs agree with DuckDB's join over
+        the same band matrix in long format."""
+        rows_q, rows_s, _ = served32.probe(list(served32.attr_ids))
+        got = pd.DataFrame(
+            {"a1": served32.attr_ids[rows_q], "a2": served32.attr_ids[rows_s]}
+        ).query("a1 < a2")
         assert_equivalent(
             got,
             """
@@ -148,7 +141,7 @@ class TestBandIndex:
               ON q.band = s.band AND q.band_hash = s.band_hash
             WHERE q.attr_id < s.attr_id
             """,
-            bands=bands_pdf,
+            bands=served32.band_table(),
         )
 
 
@@ -201,34 +194,33 @@ class TestTaggedLookup:
 
 
 class TestServedIndex:
-    """The driver copy every lookup probes, against the Spark index tables
-    it was built beside, on every D3L index of ``d3l_noisy``."""
+    """The driver copy every lookup probes, on every D3L index of
+    ``d3l_noisy``."""
 
     @pytest.fixture(scope="class", params=["n", "v", "f", "e"])
     def index(self, request, d3l_noisy):
         return d3l_noisy._indexes()[request.param]
 
-    def test_band_matrix_equals_spark_bands(self, index):
-        served = index.served
-        bands = index.bands.toPandas()
-        spark_matrix = (
-            bands.pivot(index="attr_id", columns="band", values="band_hash")
-            .reindex(index=served.attr_ids, columns=range(index.n_bands))
-            .to_numpy()
+    def test_spark_bands_view_is_band_table(self, index):
+        """``LshIndex.bands``, the Spark view kept for bucket statistics,
+        holds the driver band matrix row for row."""
+        key = ["attr_id", "band"]
+        pd.testing.assert_frame_equal(
+            index.bands.toPandas().sort_values(key).reset_index(drop=True),
+            index.served.band_table().sort_values(key).reset_index(drop=True),
+            check_dtype=False,
         )
-        assert len(bands) == len(served.attr_ids) * index.n_bands
-        np.testing.assert_array_equal(served.bands, spark_matrix)
 
     def test_lookup_equals_duckdb_similarity_join(self, index, noisy_lake, d3l_noisy):
-        """DuckDB joins the collected ``bands`` on (band, band_hash) and
-        compares the collected signatures position by position; the driver
+        """DuckDB joins the long-form band matrix on (band, band_hash) and
+        compares the Spark signatures position by position; the driver
         lookup returns the same pairs and similarities."""
         targets = sorted(noisy_lake.tables)[:12]
         queries = d3l_noisy.target_attrs(targets)
         got = lsh.lookup({"x": index}, queries)
         con = duckdb.connect()
         try:
-            con.register("bands", index.bands.toPandas())
+            con.register("bands", index.served.band_table())
             con.register("signatures", index.signatures.toPandas())
             con.register("queries", pd.DataFrame({"attr_id": queries}))
             want = con.execute(

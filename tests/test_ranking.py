@@ -2,7 +2,10 @@
 import pandas as pd
 import pytest
 
+from repro.core import features
 from repro.core.distances import EVIDENCE_TYPES
+from repro.core.ranking import D3L
+from repro.lake import generator, tables
 
 
 def _gt_precision(lake, result, k):
@@ -31,6 +34,25 @@ def test_target_not_in_its_own_answer(d3l_clean, clean_lake):
     target = sorted(clean_lake.tables)[5]
     res = d3l_clean.search(target, k=20)
     assert target not in res.tables
+
+
+#: GT-related (target, table) pairs of ``noisy_lake`` that no index
+#: retrieves for the target (at the lookup floor): no ranking can return
+#: them. A blocking or banding change that loses candidates grows this set.
+UNRETRIEVED_NOISY = set()
+
+
+def test_unretrieved_gt_tables_pinned(d3l_noisy, noisy_lake):
+    gt = noisy_lake.gt
+    targets = sorted(t for t in noisy_lake.tables if gt.related_tables(t))
+    res = d3l_noisy.search_many(targets, 10)
+    unretrieved = {
+        (t, s)
+        for t in targets
+        for s in gt.related_tables(t)
+        if s not in set(res[t].alignments["s_table"])
+    }
+    assert unretrieved == UNRETRIEVED_NOISY
 
 
 def test_same_base_tables_ranked_first_on_clean_lake(d3l_clean, clean_lake):
@@ -149,3 +171,33 @@ def test_warm_search_starts_no_spark_job(request, spark, clean_lake, system):
     assert _jobs_started(spark, f"warm-{system}", lambda: searcher.search(target, 10)) == []
     # The same probe does see a job that runs.
     assert _jobs_started(spark, f"control-{system}", lambda: spark.range(3).count())
+
+
+#: Spark jobs of a fresh ``D3L.build`` + ``materialize()`` on the lake of
+#: :func:`test_build_job_budget`, as measured. A Spark table cached or
+#: counted in the build raises it.
+BUILD_JOB_BUDGET = 29
+
+
+def test_build_job_budget(spark):
+    """A fresh build starts at most the measured number of Spark jobs, and
+    ``materialize()`` counts bands and tsets from the driver copies."""
+    lake = generator.generate_lake(derivations_per_base=2, rows=20, noise=0.6, seed=31)
+    cells = tables.cells_df(spark, lake.tables).cache()
+    cells.count()
+    built = {}
+
+    def build():
+        built["d3l"] = D3L.build(spark, cells)
+        built["counts"] = built["d3l"].materialize()
+
+    jobs = _jobs_started(spark, "fresh-build", build)
+    d3l, counts = built["d3l"], built["counts"]
+    try:
+        assert len(jobs) <= BUILD_JOB_BUDGET
+        for name, index in d3l._indexes().items():
+            assert counts[f"bands_{name}"] == counts[f"sig_{name}"] * index.n_bands
+        tsets = features.informative_tokens(cells).select("attr_id").distinct().count()
+        assert counts["tset_sizes"] == counts["sig_v"] == tsets
+    finally:
+        d3l.unpersist()

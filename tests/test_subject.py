@@ -80,10 +80,10 @@ class TestModel:
 
 
 class TestSparkPath:
-    def test_spark_features_match_pandas(self, spark, clean_lake, clean_cells):
+    def test_spark_features_match_pandas(self, spark, clean_lake, clean_attrs):
+        """Features from the Spark attribute profile equal the pandas path."""
         spark_feats = (
-            subject.attribute_features(clean_cells)
-            .toPandas()
+            subject.attribute_features(clean_attrs.toPandas())
             .sort_values("attr_id")
             .reset_index(drop=True)
         )
@@ -101,9 +101,9 @@ class TestSparkPath:
                 err_msg=col,
             )
 
-    def test_subject_attributes_df(self, spark, clean_cells, clean_lake):
-        df = subject.subject_attributes(clean_cells)
-        rows = {r["table"]: r["attr_id"] for r in df.collect()}
+    def test_subject_attributes_df(self, spark, clean_attrs, clean_lake):
+        picked = subject.pick_subjects(subject.attribute_features(clean_attrs.toPandas()))
+        rows = dict(zip(picked["table"], picked["attr_id"]))
         # A healthy share of detected subjects matches the generator's label.
         hits = sum(
             1
