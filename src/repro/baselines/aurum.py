@@ -22,7 +22,9 @@ similar columns; discovery queries traverse the graph. Faithful properties
 
 The build takes only the Spark session and the lake's cells: the profiles
 use the paper's hash count and banding (:mod:`repro.core.lsh`), the graph
-the module's edge and PK/FK thresholds.
+the module's edge and PK/FK thresholds. The profiles are the same
+driver-resident :class:`~repro.core.lsh.LshIndex` D3L and TUS use, and the
+graph is one lookup over them.
 """
 from __future__ import annotations
 
@@ -101,16 +103,18 @@ class Aurum(LakeSearch):
     spark: SparkSession
     cells: DataFrame
     attrs: DataFrame
+    attr_tables: pd.DataFrame
     #: materialised relationship edges (query_attr, attr_id, similarity,
     #: q_table, s_table, q_numeric, s_numeric) — built once at index time,
     #: held on the driver.
     edges: pd.DataFrame
     #: PK/FK candidate edges (t1, t2) at table granularity.
     pkfk_edges: pd.DataFrame
-    #: the profile store: per-evidence column signatures, retained after
-    #: graph construction (Aurum keeps profiles + LSH indexes alongside the
-    #: graph — they are part of its space footprint in Experiment 7).
-    profile_sigs: dict[str, DataFrame]
+    #: the profile store: the per-evidence LSH indexes (``name``,
+    #: ``content``, ``tfidf``), retained after graph construction (Aurum
+    #: keeps profiles + LSH indexes alongside the graph — they are part of
+    #: its space footprint in Experiment 7).
+    indexes: dict[str, lsh.LshIndex]
 
     @staticmethod
     def build(spark: SparkSession, cells: DataFrame) -> "Aurum":
@@ -120,10 +124,11 @@ class Aurum(LakeSearch):
         cells = cells.cache()
         attrs = attrs_df(cells).cache()
 
-        idx_name = lsh.minhash_index(features.name_qgrams(attrs), seed=_SEED)
-        vf = value_sets(cells).cache()
-        idx_content = lsh.minhash_index(vf, seed=_SEED + 1)
-        idx_tfidf = lsh.simhash_index(tfidf_vectors(cells), dim=_TFIDF_DIM, seed=_SEED + 2)
+        indexes = {
+            "name": lsh.minhash_index(features.name_qgrams(attrs), seed=_SEED),
+            "content": lsh.minhash_index(value_sets(cells), seed=_SEED + 1),
+            "tfidf": lsh.simhash_index(tfidf_vectors(cells), dim=_TFIDF_DIM, seed=_SEED + 2),
+        }
 
         # Graph construction: LSH self-join of *every* attribute against the
         # indexes — the all-pairs edge materialisation that dominates
@@ -131,7 +136,7 @@ class Aurum(LakeSearch):
         # the PK/FK candidates, each filtered to its own threshold.
         meta = attrs.select("attr_id", "table", "is_numeric").toPandas()
         hits = lsh.lookup(
-            {"name": idx_name, "content": idx_content, "tfidf": idx_tfidf},
+            indexes,
             meta["attr_id"],
             min_similarity=min(EDGE_THRESHOLD, PKFK_THRESHOLD),
         )
@@ -172,28 +177,21 @@ class Aurum(LakeSearch):
             else pd.DataFrame({"t1": pd.Series(dtype=str), "t2": pd.Series(dtype=str)})
         )
 
-        vf.unpersist()
-
-        aurum = Aurum(
+        return Aurum(
             spark=spark,
             cells=cells,
             attrs=attrs,
+            attr_tables=meta,
             edges=edges,
             pkfk_edges=pkfk_edges,
-            profile_sigs={
-                "name": idx_name.signatures,
-                "content": idx_content.signatures,
-                "tfidf": idx_tfidf.signatures,
-            },
+            indexes=indexes,
         )
-        aurum.attr_tables = meta  # already collected: no query starts a Spark job
-        return aurum
 
     def materialize(self) -> dict[str, int]:
         return {"edges": len(self.edges), "pkfk_edges": len(self.pkfk_edges)}
 
     def unpersist(self) -> None:
-        for df in (self.cells, self.attrs, *self.profile_sigs.values()):
+        for df in (self.cells, self.attrs):
             try:
                 df.unpersist()
             except Exception:  # pragma: no cover

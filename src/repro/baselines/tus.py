@@ -158,6 +158,7 @@ class TUS(LakeSearch):
     spark: SparkSession
     cells: DataFrame
     attrs: DataFrame
+    attr_tables: pd.DataFrame
     kb: KnowledgeBase
     value_feats: DataFrame
     semantic_feats: DataFrame
@@ -183,6 +184,7 @@ class TUS(LakeSearch):
             spark=spark,
             cells=cells,
             attrs=attrs,
+            attr_tables=attrs.select("attr_id", "table", "is_numeric").toPandas(),
             kb=kb,
             value_feats=vf,
             semantic_feats=sf,
@@ -198,17 +200,13 @@ class TUS(LakeSearch):
             ("semantic", self.index_semantic),
             ("nl", self.index_nl),
         ):
-            # Counted from the driver copy the query's lookup probes.
-            counts[f"sig_{name}"] = len(idx.served.attr_ids)
-            counts[f"bands_{name}"] = counts[f"sig_{name}"] * idx.n_bands
+            counts[f"sig_{name}"] = len(idx.attr_ids)
+            counts[f"bands_{name}"] = idx.band_matrix.size
         counts["value_feats"] = self.value_feats.count()
         counts["semantic_feats"] = self.semantic_feats.count()
-        self.tables
         return counts
 
     def unpersist(self) -> None:
-        for idx in (self.index_value, self.index_semantic, self.index_nl):
-            idx.unpersist()
         for df in (self.cells, self.attrs, self.value_feats, self.semantic_feats):
             try:
                 df.unpersist()

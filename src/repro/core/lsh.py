@@ -10,19 +10,18 @@ candidate pair the full signatures are re-compared, giving the actual
 distance estimate that feeds Eqs. 1-3 — banding is only a blocking step,
 exactly the role LSH Forest plays in the paper.
 
-The signature pass is lake-sized and runs in Spark: it yields the cached
+The signature pass is lake-sized and runs in Spark: it yields the
 DataFrame ``(attr_id, sig)``. The built index is only |attributes| x
-(hashes + bands) integers, so it ends, as the paper's in-memory LSH Forests
-do, at a driver copy (:attr:`LshIndex.served`): one collect of the
-signatures, banded by the :func:`band_hashes` kernel. :func:`lookup` probes
-any number of indexes under an ``evidence`` tag and returns the
-candidate-sized hits as pandas.
+(hashes + bands) integers, so :meth:`LshIndex.build` holds it, as the
+paper's in-memory LSH Forests do, on the driver and nowhere else: one
+collect of the signatures, banded by the :func:`band_hashes` kernel.
+:func:`lookup` probes any number of indexes under an ``evidence`` tag and
+returns the candidate-sized hits as pandas.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -70,12 +69,39 @@ def band_hashes(sigs: np.ndarray, n_bands: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ServedIndex:
-    """The driver copy of a built index, rows in ``attr_id`` order."""
+class LshIndex:
+    """One of the paper's four indexes (I_N, I_V, I_F, I_E), held on the
+    driver with rows in ``attr_id`` order: ``attr_ids``, the ``(n, h)``
+    signature matrix and the ``(n, b)`` band matrix every lookup probes.
 
+    ``signatures`` is the uncached Spark plan the copy was collected from.
+    ``kind`` selects the similarity estimator ('jaccard' for MinHash
+    signatures, 'cosine' for SimHash bit signatures).
+    """
+
+    signatures: DataFrame
+    kind: str
+    n_bands: int
     attr_ids: np.ndarray  # (n,) object
-    sigs: np.ndarray  # (n, h) int64
-    bands: np.ndarray  # (n, b) int64
+    sig_matrix: np.ndarray  # (n, h) int64
+    band_matrix: np.ndarray  # (n, b) int64
+
+    @staticmethod
+    def build(signatures: DataFrame, *, kind: str, n_bands: int) -> "LshIndex":
+        """Collect ``signatures`` ``(attr_id, sig)`` once and band them on
+        the driver."""
+        if kind not in ("jaccard", "cosine"):
+            raise ValueError(f"unknown similarity kind: {kind}")
+        pdf = signatures.toPandas().sort_values("attr_id")
+        sigs = signature_matrix(pdf["sig"])
+        return LshIndex(
+            signatures=signatures,
+            kind=kind,
+            n_bands=n_bands,
+            attr_ids=pdf["attr_id"].to_numpy(dtype=object),
+            sig_matrix=sigs,
+            band_matrix=band_hashes(sigs, n_bands),
+        )
 
     @staticmethod
     def _buckets(rows: np.ndarray, bands: np.ndarray) -> pd.DataFrame:
@@ -95,71 +121,34 @@ class ServedIndex:
         sorted by (query row, candidate row)."""
         n = len(self.attr_ids)
         q = np.flatnonzero(pd.Index(self.attr_ids).isin(query_attr_ids))
-        hit = self._buckets(q, self.bands[q]).merge(
-            self._buckets(np.arange(n), self.bands), on=["band", "band_hash"], suffixes=("_q", "_s")
+        hit = self._buckets(q, self.band_matrix[q]).merge(
+            self._buckets(np.arange(n), self.band_matrix),
+            on=["band", "band_hash"],
+            suffixes=("_q", "_s"),
         )
         hit = hit[hit["row_q"] != hit["row_s"]]
         keys = np.unique(hit["row_q"].to_numpy() * n + hit["row_s"].to_numpy())
         rows_q, rows_s = keys // n, keys % n
+        sigs = self.sig_matrix
         equal = np.empty(len(rows_q), dtype=np.int64)
         for i in range(0, len(rows_q), _COMPARE_CHUNK):
             part = slice(i, i + _COMPARE_CHUNK)
-            equal[part] = np.count_nonzero(self.sigs[rows_q[part]] == self.sigs[rows_s[part]], axis=1)
-        return rows_q, rows_s, equal / self.sigs.shape[1]
+            equal[part] = np.count_nonzero(sigs[rows_q[part]] == sigs[rows_s[part]], axis=1)
+        return rows_q, rows_s, equal / sigs.shape[1]
 
     def band_table(self) -> pd.DataFrame:
         """``(attr_id, band, band_hash)``: the band matrix in long format."""
-        table = self._buckets(np.arange(len(self.attr_ids)), self.bands)
+        table = self._buckets(np.arange(len(self.attr_ids)), self.band_matrix)
         return table.assign(row=self.attr_ids[table["row"]]).rename(columns={"row": "attr_id"})
-
-
-@dataclass
-class LshIndex:
-    """One of the paper's four indexes (I_N, I_V, I_F, I_E).
-
-    ``signatures`` (cached in Spark) holds every indexed attribute's full
-    signature; :attr:`served` is the driver copy every lookup probes.
-    ``kind`` selects the similarity estimator ('jaccard' for MinHash
-    signatures, 'cosine' for SimHash bit signatures).
-    """
-
-    signatures: DataFrame
-    kind: str
-    n_bands: int
-
-    @staticmethod
-    def build(signatures: DataFrame, *, kind: str, n_bands: int) -> "LshIndex":
-        if kind not in ("jaccard", "cosine"):
-            raise ValueError(f"unknown similarity kind: {kind}")
-        return LshIndex(signatures=signatures.cache(), kind=kind, n_bands=n_bands)
-
-    @cached_property
-    def served(self) -> ServedIndex:
-        """The driver copy every lookup probes: one collect of
-        ``signatures``, the bands computed from it on the driver."""
-        pdf = self.signatures.toPandas().sort_values("attr_id")
-        sigs = signature_matrix(pdf["sig"])
-        return ServedIndex(
-            attr_ids=pdf["attr_id"].to_numpy(dtype=object),
-            sigs=sigs,
-            bands=band_hashes(sigs, self.n_bands),
-        )
 
     @property
     def bands(self) -> DataFrame:
         """The bucket table ``(attr_id, band, band_hash)``: an uncached Spark
-        view of :attr:`served`'s band matrix, for readers outside the query
-        path, such as bucket-size statistics."""
+        view of :attr:`band_matrix`, for readers outside the query path, such
+        as bucket-size statistics."""
         return self.signatures.sparkSession.createDataFrame(
-            self.served.band_table(), schema="attr_id string, band long, band_hash long"
+            self.band_table(), schema="attr_id string, band long, band_hash long"
         )
-
-    def unpersist(self) -> None:
-        self.__dict__.pop("served", None)
-        try:
-            self.signatures.unpersist()
-        except Exception:  # pragma: no cover - best-effort cleanup
-            pass
 
 
 def minhash_index(features: DataFrame, *, seed: int) -> LshIndex:
@@ -197,8 +186,7 @@ def lookup(
     query_attr_ids = list(query_attr_ids)
     parts = []
     for name, index in indexes.items():
-        served = index.served
-        rows_q, rows_s, frac = served.probe(query_attr_ids)
+        rows_q, rows_s, frac = index.probe(query_attr_ids)
         sim = np.cos(np.pi * (1.0 - frac)) if index.kind == "cosine" else frac
         if min_similarity > 0.0:
             keep = sim >= min_similarity
@@ -207,8 +195,8 @@ def lookup(
             pd.DataFrame(
                 {
                     "evidence": np.full(len(sim), name, dtype=object),
-                    "query_attr": served.attr_ids[rows_q],
-                    "attr_id": served.attr_ids[rows_s],
+                    "query_attr": index.attr_ids[rows_q],
+                    "attr_id": index.attr_ids[rows_s],
                     "similarity": sim,
                 }
             )

@@ -7,13 +7,13 @@ lake's cells: the paper's hash count and banding and the lookup floor are
 constants of :mod:`repro.core.lsh`, the q-gram length and embedding size
 are the feature modules' defaults, and Eq. 3 uses
 ``DEFAULT_EVIDENCE_WEIGHTS``. The build is Spark; queries run no Spark job.
-The build collects the attribute profile, which gives the attribute-to-table
-map and the subject attributes; ``materialize`` collects the rest of what a
-query reads — the four indexes' driver copies and the numeric extents —
-and ``search_many`` resolves any number of targets with one
-tagged lookup over the four driver copies, then runs Algorithm 2 and
-Eq. 1-3 on the candidate pair table in the driver: the pairs are
-candidate-sized, not lake-sized.
+The build collects everything a query reads, once each: the attribute
+profile, which gives the attribute-to-table map and the subject attributes,
+the four indexes (:class:`repro.core.lsh.LshIndex`) and the numeric
+extents. ``search_many`` resolves any number of targets with one tagged
+lookup over the four indexes, then runs Algorithm 2 and Eq. 1-3 on the
+candidate pair table in the driver: the pairs are candidate-sized, not
+lake-sized.
 
 Targets are lake members (as in the paper's evaluation: targets are drawn
 from the repository, and the target itself is excluded from its answer).
@@ -55,14 +55,10 @@ class SearchResult:
 
 
 class LakeSearch:
-    """Query validation, the attribute-to-table map and the single-target
-    :meth:`search` shared by D3L, TUS and Aurum (each has ``attrs`` and
-    ``search_many``)."""
-
-    @cached_property
-    def attr_tables(self) -> pd.DataFrame:
-        """``(attr_id, table, is_numeric)`` of every lake attribute, collected once."""
-        return self.attrs.select("attr_id", "table", "is_numeric").toPandas()
+    """Query validation and the single-target :meth:`search` shared by D3L,
+    TUS and Aurum. Each has ``search_many`` and ``attr_tables``, the
+    ``(attr_id, table, is_numeric)`` of every lake attribute that its build
+    collects."""
 
     @cached_property
     def tables(self) -> frozenset[str]:
@@ -99,11 +95,13 @@ class D3L(LakeSearch):
     spark: SparkSession
     cells: DataFrame
     attrs: DataFrame
+    attr_tables: pd.DataFrame
     index_n: lsh.LshIndex
     index_v: lsh.LshIndex
     index_f: lsh.LshIndex
     index_e: lsh.LshIndex
-    extents: DataFrame
+    #: ``(attr_id, vals, table)`` of every numeric attribute.
+    extent_values: pd.DataFrame
     #: ``(table, attr_id)``: each table's subject attribute, if it has one.
     subjects: pd.DataFrame
 
@@ -119,30 +117,29 @@ class D3L(LakeSearch):
         attrs = attrs_df(cells).cache()
         profile = attrs.toPandas()
 
-        d3l = D3L(
+        return D3L(
             spark=spark,
             cells=cells,
             attrs=attrs,
+            attr_tables=profile[["attr_id", "table", "is_numeric"]],
             index_n=lsh.minhash_index(features.name_qgrams(attrs), seed=_SEED),
             index_v=lsh.minhash_index(features.informative_tokens(cells), seed=_SEED + 1),
             index_f=lsh.minhash_index(features.format_strings(cells), seed=_SEED + 2),
             index_e=lsh.simhash_index(
                 features.embedding_vectors(cells, wem), dim=wem.dim, seed=_SEED + 3
             ),
-            extents=dist.numeric_extents(cells).cache(),
+            extent_values=dist.numeric_extents(cells).withColumn("table", table_of("attr_id")).toPandas(),
             subjects=subject.pick_subjects(subject.attribute_features(profile)),
         )
-        d3l.attr_tables = profile[["attr_id", "table", "is_numeric"]]
-        return d3l
 
     def materialize(self) -> dict[str, int]:
-        """Collect the driver copies every query reads, so the first query
-        starts no Spark job; returns the sizes of what was built, counted
-        from those copies (used by the indexing-time experiment)."""
+        """The sizes of what was built, counted from the driver copies the
+        build collected (used by the indexing-time experiment); starts no
+        Spark job."""
         counts = {}
         for name, idx in self._indexes().items():
-            counts[f"sig_{name}"] = len(idx.served.attr_ids)
-            counts[f"bands_{name}"] = counts[f"sig_{name}"] * idx.n_bands
+            counts[f"sig_{name}"] = len(idx.attr_ids)
+            counts[f"bands_{name}"] = idx.band_matrix.size
         counts["extents"] = len(self.extent_values)
         counts["subjects"] = len(self.subjects)
         # An attribute has a value signature exactly when its tset is non-empty.
@@ -153,9 +150,7 @@ class D3L(LakeSearch):
         return {"n": self.index_n, "v": self.index_v, "f": self.index_f, "e": self.index_e}
 
     def unpersist(self) -> None:
-        for idx in self._indexes().values():
-            idx.unpersist()
-        for df in (self.cells, self.attrs, self.extents):
+        for df in (self.cells, self.attrs):
             try:
                 df.unpersist()
             except Exception:  # pragma: no cover
@@ -168,14 +163,9 @@ class D3L(LakeSearch):
         """Attribute ids of the lake's subject attributes (at most one per table)."""
         return frozenset(self.subjects["attr_id"])
 
-    @cached_property
-    def extent_values(self) -> pd.DataFrame:
-        """``(attr_id, vals, table)`` of every numeric attribute, collected once."""
-        return self.extents.withColumn("table", table_of("attr_id")).toPandas()
-
     def alignments(self, target_tables: list[str]) -> pd.DataFrame:
         """Per-pair distance table for all attributes of ``target_tables``:
-        the tagged lookup over the four driver copies, pivoted to distances,
+        the tagged lookup over the four indexes, pivoted to distances,
         then Algorithm 2 — all on the driver."""
         hits = lsh.lookup(
             self._indexes(), self.target_attrs(target_tables), min_similarity=lsh.MIN_SIMILARITY

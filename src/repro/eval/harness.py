@@ -24,7 +24,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.aurum import Aurum
 from repro.baselines.tus import TUS
-from repro.core import joins
+from repro.core import joins, lsh
 from repro.core.ranking import D3L, SearchResult
 from repro.eval import metrics
 from repro.lake import generator, tables
@@ -172,7 +172,9 @@ def _dir_bytes(path: Path) -> int:
 def space_overhead(spark: SparkSession, lake: Lake, workdir: str) -> dict[str, float]:
     """Experiment 7 / Table II: index bytes on disk relative to the lake's
     CSV footprint. Each system's retained query-time structures are written
-    as parquet; the lake is written as CSV (its on-disk form in the paper)."""
+    as parquet, except its LSH indexes, which are written as the driver
+    holds them (attribute ids, then raw int64 signature and band matrices);
+    the lake is written as CSV (its on-disk form in the paper)."""
     root = Path(workdir)
     if root.exists():
         shutil.rmtree(root)
@@ -194,14 +196,17 @@ def space_overhead(spark: SparkSession, lake: Lake, workdir: str) -> dict[str, f
         path.mkdir(parents=True, exist_ok=True)
         df.to_parquet(path / "part.parquet")
 
-    # D3L: four LSH indexes (signatures + the served band matrix) + numeric
-    # extents + subject attributes.
+    def _write_index(idx: lsh.LshIndex, path: Path) -> None:
+        _write_pandas(pd.DataFrame({"attr_id": idx.attr_ids}), path)
+        np.save(path / "sigs.npy", idx.sig_matrix)
+        np.save(path / "bands.npy", idx.band_matrix)
+
+    # D3L: four LSH indexes + numeric extents + subject attributes.
     d3l = D3L.build(spark, cells)
     d3l_dir = root / "d3l"
     for name, idx in d3l._indexes().items():
-        _write(idx.signatures, d3l_dir / f"sig_{name}")
-        _write_pandas(idx.served.band_table(), d3l_dir / f"bands_{name}")
-    _write(d3l.extents, d3l_dir / "extents")
+        _write_index(idx, d3l_dir / f"index_{name}")
+    _write_pandas(d3l.extent_values[["attr_id", "vals"]], d3l_dir / "extents")
     _write_pandas(d3l.subjects, d3l_dir / "subjects")
     d3l_bytes = _dir_bytes(d3l_dir)
     d3l.unpersist()
@@ -214,19 +219,18 @@ def space_overhead(spark: SparkSession, lake: Lake, workdir: str) -> dict[str, f
         ("semantic", tus.index_semantic),
         ("nl", tus.index_nl),
     ):
-        _write(idx.signatures, tus_dir / f"sig_{name}")
-        _write_pandas(idx.served.band_table(), tus_dir / f"bands_{name}")
+        _write_index(idx, tus_dir / f"index_{name}")
     _write(tus.value_feats, tus_dir / "value_feats")
     _write(tus.semantic_feats, tus_dir / "semantic_feats")
     tus_bytes = _dir_bytes(tus_dir)
     tus.unpersist()
 
     # Aurum: graph + PK/FK candidates + the profile store (per-evidence
-    # column signatures) — the components the paper's Table II charges it.
+    # LSH indexes) — the components the paper's Table II charges it.
     aurum = Aurum.build(spark, cells)
     aurum_dir = root / "aurum"
-    for name, sig in aurum.profile_sigs.items():
-        _write(sig, aurum_dir / f"profile_{name}")
+    for name, idx in aurum.indexes.items():
+        _write_index(idx, aurum_dir / f"profile_{name}")
     for name, edges in (("edges", aurum.edges), ("pkfk", aurum.pkfk_edges)):
         _write_pandas(edges, aurum_dir / name)
     aurum_bytes = _dir_bytes(aurum_dir)

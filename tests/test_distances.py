@@ -9,7 +9,6 @@ import pytest
 
 from repro.core import distances, lsh
 from repro.core.distances import EVIDENCE_TYPES, ks_statistic, numeric_extents
-from repro.lake.tables import table_of
 from repro.oracle import assert_equivalent
 
 
@@ -143,7 +142,7 @@ class TestDomainDistancesOracle:
         q_attrs = [r["attr_id"] for r in d3l.attrs.where(F.col("table").isin(targets)).collect()]
         hits = lsh.lookup(d3l._indexes(), q_attrs, min_similarity=lsh.MIN_SIMILARITY)
         pairs = distances.pair_table(hits, d3l.attr_tables)
-        extents = d3l.extents.withColumn("table", table_of("attr_id")).toPandas()
+        extents = d3l.extent_values
         out = distances.domain_distances(pairs, extents, d3l.subject_attrs)
         con = duckdb.connect()
         try:

@@ -99,7 +99,7 @@ def _build_outputs(request) -> dict:
     }
     aurum = fx("aurum_clean")
     out["aurum_clean"] = {
-        "signatures": {e: _digest(sigs) for e, sigs in aurum.profile_sigs.items()},
+        "signatures": {e: _digest(idx.signatures) for e, idx in aurum.indexes.items()},
         "edges": len(aurum.edges),
         "pkfk_edges": len(aurum.pkfk_edges),
     }

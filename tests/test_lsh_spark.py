@@ -1,5 +1,5 @@
-"""Spark MinHash signatures and the banded LSH index built from them: its
-driver copy, which serves every lookup."""
+"""Spark MinHash signatures and the banded LSH index built from them, held
+on the driver, which serves every lookup."""
 import duckdb
 import numpy as np
 import pandas as pd
@@ -74,13 +74,13 @@ class TestSignaturesDf:
 
 @pytest.fixture(scope="module")
 def served32(sigs):
-    """The driver copy of a 32-band index over ``sigs``."""
-    return lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32).served
+    """A 32-band index over ``sigs``."""
+    return lsh.LshIndex.build(sigs, kind="jaccard", n_bands=32)
 
 
 class TestBandIndex:
     def test_band_count(self, served32, toy_sets):
-        assert served32.bands.shape == (len(toy_sets), 32)
+        assert served32.band_matrix.shape == (len(toy_sets), 32)
         counts = served32.band_table().groupby("attr_id").size()
         assert (counts == 32).all()
 
@@ -97,7 +97,7 @@ class TestBandIndex:
         np.testing.assert_array_equal(lsh.band_hashes(lsh.signature_matrix(pdf["sig"]), 32), want)
 
     def test_identical_sets_share_every_band(self, served32):
-        row = dict(zip(served32.attr_ids, served32.bands))
+        row = dict(zip(served32.attr_ids, served32.band_matrix))
         np.testing.assert_array_equal(row["A"], row["D"])
 
     def test_lookup_finds_identical(self, spark, sigs):
@@ -194,7 +194,7 @@ class TestTaggedLookup:
 
 
 class TestServedIndex:
-    """The driver copy every lookup probes, on every D3L index of
+    """The driver-held index every lookup probes, on every D3L index of
     ``d3l_noisy``."""
 
     @pytest.fixture(scope="class", params=["n", "v", "f", "e"])
@@ -207,20 +207,20 @@ class TestServedIndex:
         key = ["attr_id", "band"]
         pd.testing.assert_frame_equal(
             index.bands.toPandas().sort_values(key).reset_index(drop=True),
-            index.served.band_table().sort_values(key).reset_index(drop=True),
+            index.band_table().sort_values(key).reset_index(drop=True),
             check_dtype=False,
         )
 
     def test_lookup_equals_duckdb_similarity_join(self, index, noisy_lake, d3l_noisy):
         """DuckDB joins the long-form band matrix on (band, band_hash) and
-        compares the Spark signatures position by position; the driver
-        lookup returns the same pairs and similarities."""
+        compares the signatures, recomputed in Spark, position by position;
+        the driver lookup returns the same pairs and similarities."""
         targets = sorted(noisy_lake.tables)[:12]
         queries = d3l_noisy.target_attrs(targets)
         got = lsh.lookup({"x": index}, queries)
         con = duckdb.connect()
         try:
-            con.register("bands", index.served.band_table())
+            con.register("bands", index.band_table())
             con.register("signatures", index.signatures.toPandas())
             con.register("queries", pd.DataFrame({"attr_id": queries}))
             want = con.execute(
@@ -300,7 +300,7 @@ class TestBandingRecall:
         finally:
             con.close()
         index = d3l_noisy._indexes()[evidence]
-        hits = lsh.lookup({evidence: index}, index.served.attr_ids, min_similarity=0)
+        hits = lsh.lookup({evidence: index}, index.attr_ids, min_similarity=0)
         found = set(zip(hits["query_attr"], hits["attr_id"]))
         exact["found"] = [(a, b) in found for a, b in zip(exact["a"], exact["b"])]
         return exact

@@ -31,6 +31,5 @@ def test_cells_features_signatures_lookup(spark):
     assert len(hits) > 0
     for sim in hits["similarity"]:
         assert 0.0 <= sim <= 1.0
-    index.unpersist()
     cells.unpersist()
     attrs.unpersist()
