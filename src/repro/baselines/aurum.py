@@ -35,9 +35,11 @@ import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.baselines.tus import value_sets
 from repro.core import features, lsh
 from repro.core.distances import with_tables
 from repro.core.ranking import LakeSearch, SearchResult
+from repro.lake.tables import attrs_df
 
 _TFIDF_DIM = 64
 #: Seed of the name profile; the content and TF-IDF profiles use
@@ -58,15 +60,7 @@ def tfidf_vectors(cells: DataFrame) -> DataFrame:
     hashing trick); weights are tf * idf with idf over attributes as
     documents. Output: ``(attr_id, vec array<double>)``.
     """
-    words = (
-        cells.where(~F.col("is_numeric"))
-        .select(
-            "attr_id",
-            F.explode(F.split(F.lower(F.col("value")), features.WORD_SPLIT)).alias("w"),
-        )
-        .where(F.col("w") != "")
-    )
-    tf = words.groupBy("attr_id", "w").agg(F.count("*").alias("tf"))
+    tf = features.value_words(cells).groupBy("attr_id", "w").agg(F.count("*").alias("tf"))
     n_attrs = tf.select("attr_id").distinct().count()
     df_ = tf.groupBy("w").agg(F.countDistinct("attr_id").alias("df"))
     weighted = tf.join(df_, "w").select(
@@ -100,10 +94,6 @@ def tfidf_vectors(cells: DataFrame) -> DataFrame:
 class Aurum(LakeSearch):
     """Aurum's graph over the lake; queries are edge lookups."""
 
-    spark: SparkSession
-    cells: DataFrame
-    attrs: DataFrame
-    attr_tables: pd.DataFrame
     #: materialised relationship edges (query_attr, attr_id, similarity,
     #: q_table, s_table, q_numeric, s_numeric) — built once at index time,
     #: held on the driver.
@@ -118,9 +108,6 @@ class Aurum(LakeSearch):
 
     @staticmethod
     def build(spark: SparkSession, cells: DataFrame) -> "Aurum":
-        from repro.baselines.tus import value_sets
-        from repro.lake.tables import attrs_df
-
         cells = cells.cache()
         attrs = attrs_df(cells).cache()
 
@@ -189,13 +176,6 @@ class Aurum(LakeSearch):
 
     def materialize(self) -> dict[str, int]:
         return {"edges": len(self.edges), "pkfk_edges": len(self.pkfk_edges)}
-
-    def unpersist(self) -> None:
-        for df in (self.cells, self.attrs):
-            try:
-                df.unpersist()
-            except Exception:  # pragma: no cover
-                pass
 
     # -- querying -------------------------------------------------------------
 

@@ -26,7 +26,11 @@ attribute's score. Faithful cost/behaviour properties preserved:
 
 The build takes only the Spark session and the lake's cells: the indexes
 use the paper's hash count, banding and lookup floor (:mod:`repro.core.lsh`)
-over the synthetic KB and the default 50-d WEM.
+over the synthetic KB and the default 50-d WEM. The build is Spark, and it
+collects what a query reads: the three indexes and the lake's value and
+class sets. A query recomputes the target's sets in Spark, then runs the
+lookup and the exact refinement against the collected sets on the driver,
+since the blocked candidates are candidate-sized.
 """
 from __future__ import annotations
 
@@ -41,6 +45,7 @@ from repro.core import features, lsh
 from repro.core.distances import with_tables
 from repro.core.ranking import LakeSearch, SearchResult
 from repro.embedding.wem import WordEmbeddingModel
+from repro.lake.tables import attrs_df
 
 #: Seed of the value index; the semantic and NL indexes use ``_SEED + 1``
 #: and ``_SEED + 2``.
@@ -86,64 +91,41 @@ def semantic_sets(cells: DataFrame, kb: KnowledgeBase) -> DataFrame:
 def token_vectors(cells: DataFrame, wem: WordEmbeddingModel) -> DataFrame:
     """Mean embedding over *all* value tokens ``(attr_id, vec)`` (TUS's NL
     unionability does not do D3L's frequent/infrequent split)."""
-    words = (
-        cells.where(~F.col("is_numeric"))
-        .select(
-            "attr_id",
-            F.explode(F.split(F.lower(F.col("value")), features.WORD_SPLIT)).alias("w"),
-        )
-        .where(F.col("w") != "")
-        .groupBy("attr_id")
-        .agg(F.collect_set("w").alias("tokens"))
-    )
-
-    def _agg(batch_iter):
-        for batch in batch_iter:
-            if batch.empty:
-                yield pd.DataFrame({"attr_id": pd.Series(dtype=str), "vec": pd.Series(dtype=object)})
-                continue
-            vecs = batch["tokens"].map(lambda ts: wem.aggregate(ts))
-            keep = vecs.map(lambda v: float((v ** 2).sum()) > 0.0)
-            yield pd.DataFrame(
-                {"attr_id": batch["attr_id"][keep], "vec": vecs[keep].map(lambda v: v.tolist())}
-            )
-
-    return words.mapInPandas(_agg, schema="attr_id string, vec array<double>")
+    tokens = features.value_words(cells).groupBy("attr_id").agg(F.collect_set("w").alias("tokens"))
+    return features.mean_vectors(tokens, wem)
 
 
 # ---------------------------------------------------------------------------
 # Exact unionability on candidates (post-blocking refinement)
 # ---------------------------------------------------------------------------
 
-def exact_jaccard_pairs(pairs: DataFrame, feats: DataFrame, q_feats: DataFrame) -> DataFrame:
-    """Exact Jaccard for ``(query_attr, attr_id)`` pairs from feature sets.
+def _sizes(feats: pd.DataFrame, key: str, name: str) -> pd.DataFrame:
+    """``(key, name)``: the size of every feature set."""
+    return feats.groupby(key, as_index=False).size().rename(columns={"size": name})
+
+
+def exact_jaccard_pairs(pairs: pd.DataFrame, feats: pd.DataFrame, q_feats: pd.DataFrame) -> pd.DataFrame:
+    """Exact Jaccard ``n_i / (n_q + n_s - n_i)`` of ``(query_attr, attr_id)``
+    pairs from ``(attr_id, feature)`` sets, as ``(query_attr, attr_id,
+    similarity)``.
 
     ``q_feats`` is the query side (recomputed at query time), ``feats`` the
-    indexed lake side.
+    indexed lake side. A pair whose attribute has no set on its side is
+    dropped; disjoint sets have ``n_i`` = 0.
     """
-    q_sizes = q_feats.groupBy(F.col("attr_id").alias("query_attr")).agg(
-        F.count("*").alias("n_q")
+    q_feats = q_feats.rename(columns={"attr_id": "query_attr"})
+    inter = _sizes(
+        pairs.merge(q_feats, on="query_attr").merge(feats, on=["attr_id", "feature"]),
+        ["query_attr", "attr_id"],
+        "n_i",
     )
-    s_sizes = feats.groupBy("attr_id").agg(F.count("*").alias("n_s"))
-    inter = (
-        pairs.join(
-            q_feats.select(F.col("attr_id").alias("query_attr"), "feature"), "query_attr"
-        )
-        .join(feats, ["attr_id", "feature"])
-        .groupBy("query_attr", "attr_id")
-        .agg(F.count("*").alias("n_i"))
+    out = (
+        pairs.merge(_sizes(q_feats, "query_attr", "n_q"), on="query_attr")
+        .merge(_sizes(feats, "attr_id", "n_s"), on="attr_id")
+        .merge(inter, on=["query_attr", "attr_id"], how="left")
     )
-    return (
-        pairs.join(inter, ["query_attr", "attr_id"], "left")
-        .join(q_sizes, "query_attr")
-        .join(s_sizes, "attr_id")
-        .fillna(0, subset=["n_i"])
-        .select(
-            "query_attr",
-            "attr_id",
-            (F.col("n_i") / (F.col("n_q") + F.col("n_s") - F.col("n_i"))).alias("similarity"),
-        )
-    )
+    n_i = out["n_i"].fillna(0)
+    return out[["query_attr", "attr_id"]].assign(similarity=n_i / (out["n_q"] + out["n_s"] - n_i))
 
 
 # ---------------------------------------------------------------------------
@@ -155,63 +137,49 @@ def exact_jaccard_pairs(pairs: DataFrame, feats: DataFrame, q_feats: DataFrame) 
 class TUS(LakeSearch):
     """The TUS baseline over the same lake representation as D3L."""
 
-    spark: SparkSession
-    cells: DataFrame
-    attrs: DataFrame
-    attr_tables: pd.DataFrame
     kb: KnowledgeBase
-    value_feats: DataFrame
-    semantic_feats: DataFrame
-    index_value: lsh.LshIndex
-    index_semantic: lsh.LshIndex
-    index_nl: lsh.LshIndex
+    #: ``(attr_id, feature)`` value and KB-class sets of every lake
+    #: attribute, collected once: exact unionability reads them.
+    value_feats: pd.DataFrame
+    semantic_feats: pd.DataFrame
+    #: the ``value``, ``semantic`` and ``nl`` LSH indexes.
+    indexes: dict[str, lsh.LshIndex]
 
     @staticmethod
     def build(spark: SparkSession, cells: DataFrame) -> "TUS":
-        from repro.lake.tables import attrs_df
-
         kb = KnowledgeBase()
         wem = WordEmbeddingModel()
         cells = cells.cache()
         attrs = attrs_df(cells).cache()
 
+        # Cached only while the signatures and the driver copies are taken.
         vf = value_sets(cells).cache()
         sf = semantic_sets(cells, kb).cache()
-        idx_v = lsh.minhash_index(vf, seed=_SEED)
-        idx_s = lsh.minhash_index(sf, seed=_SEED + 1)
-        idx_e = lsh.simhash_index(token_vectors(cells, wem), dim=wem.dim, seed=_SEED + 2)
-        return TUS(
+        indexes = {
+            "value": lsh.minhash_index(vf, seed=_SEED),
+            "semantic": lsh.minhash_index(sf, seed=_SEED + 1),
+            "nl": lsh.simhash_index(token_vectors(cells, wem), dim=wem.dim, seed=_SEED + 2),
+        }
+        tus = TUS(
             spark=spark,
             cells=cells,
             attrs=attrs,
             attr_tables=attrs.select("attr_id", "table", "is_numeric").toPandas(),
             kb=kb,
-            value_feats=vf,
-            semantic_feats=sf,
-            index_value=idx_v,
-            index_semantic=idx_s,
-            index_nl=idx_e,
+            value_feats=vf.toPandas(),
+            semantic_feats=sf.toPandas(),
+            indexes=indexes,
         )
+        vf.unpersist()
+        sf.unpersist()
+        return tus
 
     def materialize(self) -> dict[str, int]:
-        counts = {}
-        for name, idx in (
-            ("value", self.index_value),
-            ("semantic", self.index_semantic),
-            ("nl", self.index_nl),
-        ):
-            counts[f"sig_{name}"] = len(idx.attr_ids)
-            counts[f"bands_{name}"] = idx.band_matrix.size
-        counts["value_feats"] = self.value_feats.count()
-        counts["semantic_feats"] = self.semantic_feats.count()
-        return counts
-
-    def unpersist(self) -> None:
-        for df in (self.cells, self.attrs, self.value_feats, self.semantic_feats):
-            try:
-                df.unpersist()
-            except Exception:  # pragma: no cover
-                pass
+        return {
+            **self.index_counts(),
+            "value_feats": len(self.value_feats),
+            "semantic_feats": len(self.semantic_feats),
+        }
 
     # -- querying -------------------------------------------------------------
 
@@ -225,35 +193,29 @@ class TUS(LakeSearch):
         self.check_query(target_tables, k)
         target_cells = self.cells.where(F.col("table").isin(target_tables))
 
-        # Query-time feature recomputation (deliberate, faithful cost).
-        q_vf = value_sets(target_cells)
-        q_sf = semantic_sets(target_cells, self.kb)
+        # Query-time feature recomputation in Spark (deliberate, faithful cost).
+        q_vf = value_sets(target_cells).toPandas()
+        q_sf = semantic_sets(target_cells, self.kb).toPandas()
 
         hits = lsh.lookup(
-            {"value": self.index_value, "semantic": self.index_semantic, "nl": self.index_nl},
-            self.target_attrs(target_tables),
-            min_similarity=lsh.MIN_SIMILARITY,
+            self.indexes, self.target_attrs(target_tables), min_similarity=lsh.MIN_SIMILARITY
         )
 
         def _hits(evidence: str) -> pd.DataFrame:
             return hits.loc[hits["evidence"] == evidence, ["query_attr", "attr_id", "similarity"]]
 
-        def _candidates(evidence: str) -> DataFrame:
-            return self.spark.createDataFrame(
-                _hits(evidence)[["query_attr", "attr_id"]], schema="query_attr string, attr_id string"
+        # Exact unionability on the blocked candidates; the NL evidence keeps
+        # its LSH cosine estimate, clamped at 0. Max-score aggregation.
+        exact = [
+            exact_jaccard_pairs(_hits(evidence)[["query_attr", "attr_id"]], feats, q_feats)
+            for evidence, feats, q_feats in (
+                ("value", self.value_feats, q_vf),
+                ("semantic", self.semantic_feats, q_sf),
             )
-
-        # Exact unionability on the blocked candidates, in Spark against the
-        # lake-sized feature sets; the NL evidence keeps its LSH cosine
-        # estimate, clamped at 0. Max-score aggregation.
-        exact = (
-            exact_jaccard_pairs(_candidates("value"), self.value_feats, q_vf)
-            .unionByName(exact_jaccard_pairs(_candidates("semantic"), self.semantic_feats, q_sf))
-            .toPandas()
-        )
+        ]
         nl = _hits("nl").assign(similarity=lambda h: h["similarity"].clip(lower=0.0))
         merged = (
-            pd.concat([exact, nl], ignore_index=True)
+            pd.concat([*exact, nl], ignore_index=True)
             .groupby(["query_attr", "attr_id"], as_index=False)["similarity"]
             .max()
         )

@@ -85,6 +85,16 @@ def _words(cells: DataFrame) -> DataFrame:
     )
 
 
+def value_words(cells: DataFrame) -> DataFrame:
+    """``(attr_id, w)`` — every lower-cased word of every non-numeric value,
+    split at :data:`WORD_SPLIT` (the baselines' tokeniser); duplicates kept."""
+    return (
+        cells.where(~F.col("is_numeric"))
+        .select("attr_id", F.explode(F.split(F.lower(F.col("value")), WORD_SPLIT)).alias("w"))
+        .where(F.col("w") != "")
+    )
+
+
 def token_histogram(cells: DataFrame) -> DataFrame:
     """Per-attribute token occurrence counts ``(attr_id, word, cnt)`` —
     Algorithm 1's histogram ``H``."""
@@ -191,17 +201,14 @@ _VEC_SCHEMA = StructType(
 )
 
 
-def embedding_vectors(cells: DataFrame, wem) -> DataFrame:
-    """``(attr_id, vec)`` — mean WEM vector of the frequent tokens.
+def mean_vectors(tokens: DataFrame, wem) -> DataFrame:
+    """``(attr_id, vec)`` — mean WEM vector of each ``(attr_id, tokens)`` token
+    set. Attributes whose set yields a zero vector are dropped (nothing to
+    project).
 
     ``wem`` (a :class:`repro.embedding.wem.WordEmbeddingModel`) is shipped
     to executors by closure capture; it is a small picklable object.
-    Attributes whose token set yields a zero vector are dropped (nothing to
-    project).
     """
-    tokens = frequent_tokens(cells).groupBy("attr_id").agg(
-        F.collect_set("feature").alias("tokens")
-    )
 
     def _agg(batch: pd.DataFrame) -> pd.DataFrame:
         if batch.empty:
@@ -216,3 +223,11 @@ def embedding_vectors(cells: DataFrame, wem) -> DataFrame:
         )
 
     return tokens.mapInPandas(lambda it: map(_agg, it), schema=_VEC_SCHEMA)
+
+
+def embedding_vectors(cells: DataFrame, wem) -> DataFrame:
+    """``(attr_id, vec)`` — mean WEM vector of the frequent tokens."""
+    tokens = frequent_tokens(cells).groupBy("attr_id").agg(
+        F.collect_set("feature").alias("tokens")
+    )
+    return mean_vectors(tokens, wem)

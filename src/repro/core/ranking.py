@@ -30,7 +30,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core import distances as dist
 from repro.core import features, lsh, subject, weights
 from repro.embedding.wem import WordEmbeddingModel
-from repro.lake.tables import table_of
+from repro.lake.tables import attrs_df, table_of
 
 #: Seed of the name index; the value, format and embedding indexes use
 #: ``_SEED + 1`` .. ``_SEED + 3``.
@@ -54,11 +54,19 @@ class SearchResult:
         return [t for t, _ in self.ranking]
 
 
+@dataclass
 class LakeSearch:
-    """Query validation and the single-target :meth:`search` shared by D3L,
-    TUS and Aurum. Each has ``search_many`` and ``attr_tables``, the
-    ``(attr_id, table, is_numeric)`` of every lake attribute that its build
-    collects."""
+    """What D3L, TUS and Aurum share: the lake's cached cells and attribute
+    profile, the attribute map its build collects, query validation, the
+    single-target :meth:`search`, the index counts and :meth:`unpersist`.
+    Each system has ``search_many`` and ``indexes``, its LSH indexes keyed
+    by evidence name."""
+
+    spark: SparkSession
+    cells: DataFrame
+    attrs: DataFrame
+    #: ``(attr_id, table, is_numeric)`` of every lake attribute.
+    attr_tables: pd.DataFrame
 
     @cached_property
     def tables(self) -> frozenset[str]:
@@ -87,15 +95,26 @@ class LakeSearch:
         """Single-target convenience wrapper over ``search_many``."""
         return self.search_many([target_table], k, **kw)[target_table]
 
+    def index_counts(self) -> dict[str, int]:
+        """``sig_<name>`` and ``bands_<name>`` of every index, counted from
+        the driver copies (bands = attributes x bands)."""
+        counts = {}
+        for name, idx in self.indexes.items():
+            counts[f"sig_{name}"] = len(idx.attr_ids)
+            counts[f"bands_{name}"] = idx.band_matrix.size
+        return counts
+
+    def unpersist(self) -> None:
+        """Drop the cached cells and attribute profile. The cells may be
+        shared with other systems built over them: they are dropped too."""
+        self.cells.unpersist()
+        self.attrs.unpersist()
+
 
 @dataclass
 class D3L(LakeSearch):
     """The paper's system: four LSH indexes + aggregation framework."""
 
-    spark: SparkSession
-    cells: DataFrame
-    attrs: DataFrame
-    attr_tables: pd.DataFrame
     index_n: lsh.LshIndex
     index_v: lsh.LshIndex
     index_f: lsh.LshIndex
@@ -110,8 +129,6 @@ class D3L(LakeSearch):
     @staticmethod
     def build(spark: SparkSession, cells: DataFrame) -> "D3L":
         """Algorithm 1 over every attribute of the lake."""
-        from repro.lake.tables import attrs_df
-
         wem = WordEmbeddingModel()
         cells = cells.cache()
         attrs = attrs_df(cells).cache()
@@ -136,25 +153,17 @@ class D3L(LakeSearch):
         """The sizes of what was built, counted from the driver copies the
         build collected (used by the indexing-time experiment); starts no
         Spark job."""
-        counts = {}
-        for name, idx in self._indexes().items():
-            counts[f"sig_{name}"] = len(idx.attr_ids)
-            counts[f"bands_{name}"] = idx.band_matrix.size
+        counts = self.index_counts()
         counts["extents"] = len(self.extent_values)
         counts["subjects"] = len(self.subjects)
         # An attribute has a value signature exactly when its tset is non-empty.
         counts["tset_sizes"] = counts["sig_v"]
         return counts
 
-    def _indexes(self) -> dict[str, lsh.LshIndex]:
+    @property
+    def indexes(self) -> dict[str, lsh.LshIndex]:
+        """The four indexes keyed by evidence type."""
         return {"n": self.index_n, "v": self.index_v, "f": self.index_f, "e": self.index_e}
-
-    def unpersist(self) -> None:
-        for df in (self.cells, self.attrs):
-            try:
-                df.unpersist()
-            except Exception:  # pragma: no cover
-                pass
 
     # -- querying -------------------------------------------------------------
 
@@ -168,7 +177,7 @@ class D3L(LakeSearch):
         the tagged lookup over the four indexes, pivoted to distances,
         then Algorithm 2 — all on the driver."""
         hits = lsh.lookup(
-            self._indexes(), self.target_attrs(target_tables), min_similarity=lsh.MIN_SIMILARITY
+            self.indexes, self.target_attrs(target_tables), min_similarity=lsh.MIN_SIMILARITY
         )
         pairs = dist.pair_table(hits, self.attr_tables)
         return dist.domain_distances(pairs, self.extent_values, self.subject_attrs)
@@ -200,9 +209,12 @@ class D3L(LakeSearch):
         ``evidence`` restricts ranking to a single evidence type ('n', 'v',
         'f', 'e' or 'd') for the paper's Experiment 1; None uses the full
         Eq. 3 aggregation. Raises ``ValueError`` for ``k <= 0``, for targets
-        that are not lake tables and for duplicate targets.
+        that are not lake tables, for duplicate targets and for any other
+        ``evidence``.
         """
         self.check_query(target_tables, k)
+        if evidence is not None and evidence not in dist.EVIDENCE_TYPES:
+            raise ValueError(f"evidence must be one of {dist.EVIDENCE_TYPES} or None, got {evidence!r}")
         table_vectors, align = self.table_vectors(target_tables)
 
         results: dict[str, SearchResult] = {}

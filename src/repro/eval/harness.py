@@ -119,35 +119,19 @@ def time_indexing(spark: SparkSession, lake: Lake) -> dict[str, float]:
     """Experiment 4: wall-clock to build + materialise each system's index
     structures over the same lake. One untimed D3L build of the same cells
     comes first, so the first timed build does not pay the start of Spark's
-    Python workers."""
+    Python workers. Every build starts from cached cells: the previous
+    system's ``unpersist`` drops them, so they are cached again, untimed."""
     out: dict[str, float] = {}
-    cells = tables.cells_df(spark, lake.tables).cache()
-    cells.count()
-    warm_up = D3L.build(spark, cells)
-    warm_up.materialize()
-    warm_up.unpersist()  # drops the shared cells too: cache them again
-    cells.cache()
-    cells.count()
-
-    t0 = time.perf_counter()
-    d3l = D3L.build(spark, cells)
-    d3l.materialize()
-    out["d3l"] = time.perf_counter() - t0
-    d3l.unpersist()
-
-    t0 = time.perf_counter()
-    tus = TUS.build(spark, cells)
-    tus.materialize()
-    out["tus"] = time.perf_counter() - t0
-    tus.unpersist()
-
-    t0 = time.perf_counter()
-    aurum = Aurum.build(spark, cells)
-    aurum.materialize()
-    out["aurum"] = time.perf_counter() - t0
-    aurum.unpersist()
-
-    cells.unpersist()
+    cells = tables.cells_df(spark, lake.tables)
+    for name, system in (("warm_up", D3L), ("d3l", D3L), ("tus", TUS), ("aurum", Aurum)):
+        cells.cache()
+        cells.count()
+        t0 = time.perf_counter()
+        built = system.build(spark, cells)
+        built.materialize()
+        out[name] = time.perf_counter() - t0
+        built.unpersist()
+    del out["warm_up"]
     return out
 
 
@@ -186,11 +170,7 @@ def space_overhead(spark: SparkSession, lake: Lake, workdir: str) -> dict[str, f
         df.to_csv(lake_dir / f"{name}.csv", index=False)
     lake_bytes = _dir_bytes(lake_dir)
 
-    cells = tables.cells_df(spark, lake.tables).cache()
-    cells.count()
-
-    def _write(df: DataFrame, path: Path) -> None:
-        df.write.mode("overwrite").parquet(str(path))
+    cells = tables.cells_df(spark, lake.tables)
 
     def _write_pandas(df: pd.DataFrame, path: Path) -> None:
         path.mkdir(parents=True, exist_ok=True)
@@ -201,48 +181,26 @@ def space_overhead(spark: SparkSession, lake: Lake, workdir: str) -> dict[str, f
         np.save(path / "sigs.npy", idx.sig_matrix)
         np.save(path / "bands.npy", idx.band_matrix)
 
-    # D3L: four LSH indexes + numeric extents + subject attributes.
-    d3l = D3L.build(spark, cells)
-    d3l_dir = root / "d3l"
-    for name, idx in d3l._indexes().items():
-        _write_index(idx, d3l_dir / f"index_{name}")
-    _write_pandas(d3l.extent_values[["attr_id", "vals"]], d3l_dir / "extents")
-    _write_pandas(d3l.subjects, d3l_dir / "subjects")
-    d3l_bytes = _dir_bytes(d3l_dir)
-    d3l.unpersist()
-
-    # TUS: three LSH indexes + the feature sets its exact refinement needs.
-    tus = TUS.build(spark, cells)
-    tus_dir = root / "tus"
-    for name, idx in (
-        ("value", tus.index_value),
-        ("semantic", tus.index_semantic),
-        ("nl", tus.index_nl),
-    ):
-        _write_index(idx, tus_dir / f"index_{name}")
-    _write(tus.value_feats, tus_dir / "value_feats")
-    _write(tus.semantic_feats, tus_dir / "semantic_feats")
-    tus_bytes = _dir_bytes(tus_dir)
-    tus.unpersist()
-
-    # Aurum: graph + PK/FK candidates + the profile store (per-evidence
-    # LSH indexes) — the components the paper's Table II charges it.
-    aurum = Aurum.build(spark, cells)
-    aurum_dir = root / "aurum"
-    for name, idx in aurum.indexes.items():
-        _write_index(idx, aurum_dir / f"profile_{name}")
-    for name, edges in (("edges", aurum.edges), ("pkfk", aurum.pkfk_edges)):
-        _write_pandas(edges, aurum_dir / name)
-    aurum_bytes = _dir_bytes(aurum_dir)
-    aurum.unpersist()
-
-    cells.unpersist()
-    return {
-        "lake_bytes": lake_bytes,
-        "d3l": d3l_bytes / lake_bytes,
-        "tus": tus_bytes / lake_bytes,
-        "aurum": aurum_bytes / lake_bytes,
-    }
+    # Besides its LSH indexes, each system keeps for queries: D3L its numeric
+    # extents and subject attributes; TUS the feature sets its exact
+    # refinement reads; Aurum its graph and PK/FK candidates (the components
+    # the paper's Table II charges it, with its profile indexes).
+    systems = (
+        ("d3l", D3L, lambda s: {"extents": s.extent_values[["attr_id", "vals"]], "subjects": s.subjects}),
+        ("tus", TUS, lambda s: {"value_feats": s.value_feats, "semantic_feats": s.semantic_feats}),
+        ("aurum", Aurum, lambda s: {"edges": s.edges, "pkfk": s.pkfk_edges}),
+    )
+    overhead: dict[str, float] = {}
+    for name, system, stored in systems:
+        built = system.build(spark, cells)
+        system_dir = root / name
+        for evidence, idx in built.indexes.items():
+            _write_index(idx, system_dir / f"index_{evidence}")
+        for part, df in stored(built).items():
+            _write_pandas(df, system_dir / part)
+        overhead[name] = _dir_bytes(system_dir) / lake_bytes
+        built.unpersist()
+    return {"lake_bytes": lake_bytes, **overhead}
 
 
 # ---------------------------------------------------------------------------

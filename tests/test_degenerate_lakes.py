@@ -118,7 +118,7 @@ def test_target_without_candidates(built):
     distance column, empty rankings and no join paths."""
     systems = built("no_candidates")
     d3l = systems["d3l"]
-    assert lsh.lookup(d3l._indexes(), d3l.target_attrs(["P"])).empty
+    assert lsh.lookup(d3l.indexes, d3l.target_attrs(["P"])).empty
     align = d3l.alignments(["P"])
     assert align.empty
     assert {f"d_{t}" for t in EVIDENCE_TYPES} <= set(align.columns)

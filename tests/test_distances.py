@@ -140,7 +140,7 @@ class TestDomainDistancesOracle:
         d3l = d3l_noisy
         targets = sorted(noisy_lake.tables)[:12]
         q_attrs = [r["attr_id"] for r in d3l.attrs.where(F.col("table").isin(targets)).collect()]
-        hits = lsh.lookup(d3l._indexes(), q_attrs, min_similarity=lsh.MIN_SIMILARITY)
+        hits = lsh.lookup(d3l.indexes, q_attrs, min_similarity=lsh.MIN_SIMILARITY)
         pairs = distances.pair_table(hits, d3l.attr_tables)
         extents = d3l.extent_values
         out = distances.domain_distances(pairs, extents, d3l.subject_attrs)

@@ -87,14 +87,13 @@ def _build_outputs(request) -> dict:
     for name in ("d3l_clean", "d3l_noisy"):
         d3l = fx(name)
         out[name] = {
-            "signatures": {e: _digest(idx.signatures) for e, idx in d3l._indexes().items()},
+            "signatures": {e: _digest(idx.signatures) for e, idx in d3l.indexes.items()},
             "materialize": d3l.materialize(),
             "sa_edges": joins.sa_join_edges(d3l).count(),
         }
     tus = fx("tus_clean")
-    tus_indexes = {"value": tus.index_value, "semantic": tus.index_semantic, "nl": tus.index_nl}
     out["tus_clean"] = {
-        "signatures": {e: _digest(idx.signatures) for e, idx in tus_indexes.items()},
+        "signatures": {e: _digest(idx.signatures) for e, idx in tus.indexes.items()},
         "materialize": tus.materialize(),
     }
     aurum = fx("aurum_clean")

@@ -1,5 +1,5 @@
 """Cross-system integration: the paper's headline behavioural claims at
-test scale, plus an oracle check on TUS's exact-refinement join."""
+test scale, plus an oracle check on TUS's exact refinement."""
 import pandas as pd
 import pyspark.sql.functions as F
 import pytest
@@ -40,21 +40,16 @@ class TestD3LvsTUSUnderNoise:
 
 class TestTUSExactRefinement:
     def test_exact_jaccard_oracle(self, spark):
-        """TUS's post-blocking exact Jaccard (a three-way join) agrees with
-        DuckDB computing the same measure from the raw feature tables."""
+        """TUS's post-blocking exact Jaccard (pandas, on the driver) agrees
+        with DuckDB computing the same measure from the raw feature tables."""
         lake = {
             "a": pd.DataFrame({"v": ["x", "y", "z"]}),
             "b": pd.DataFrame({"v": ["y", "z", "w"]}),
             "c": pd.DataFrame({"v": ["p", "q"]}),
         }
-        cells = tables.cells_df(spark, lake)
-        feats = value_sets(cells)
-        pairs = spark.createDataFrame(
-            [("a||v", "b||v"), ("a||v", "c||v")],
-            schema="query_attr string, attr_id string",
-        )
+        feats = value_sets(tables.cells_df(spark, lake)).toPandas()
+        pairs = pd.DataFrame({"query_attr": ["a||v", "a||v"], "attr_id": ["b||v", "c||v"]})
         got = exact_jaccard_pairs(pairs, feats, feats)
-        feats_pdf = feats.toPandas()
         assert_equivalent(
             got,
             """
@@ -77,7 +72,7 @@ class TestTUSExactRefinement:
             JOIN sizes sq ON sq.attr_id = p.query_attr
             JOIN sizes ss ON ss.attr_id = p.attr_id
             """,
-            feats=feats_pdf,
+            feats=feats,
         )
 
     def test_exact_jaccard_values(self, spark):
@@ -85,13 +80,10 @@ class TestTUSExactRefinement:
             "a": pd.DataFrame({"v": ["x", "y", "z"]}),
             "b": pd.DataFrame({"v": ["y", "z", "w"]}),
         }
-        cells = tables.cells_df(spark, lake)
-        feats = value_sets(cells)
-        pairs = spark.createDataFrame(
-            [("a||v", "b||v")], schema="query_attr string, attr_id string"
-        )
-        row = exact_jaccard_pairs(pairs, feats, feats).collect()[0]
-        assert row["similarity"] == pytest.approx(2 / 4)
+        feats = value_sets(tables.cells_df(spark, lake)).toPandas()
+        pairs = pd.DataFrame({"query_attr": ["a||v"], "attr_id": ["b||v"]})
+        got = exact_jaccard_pairs(pairs, feats, feats)
+        assert got["similarity"].tolist() == [pytest.approx(2 / 4)]
 
 
 class TestSpaceOverheadSmall:

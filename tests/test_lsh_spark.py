@@ -199,7 +199,7 @@ class TestServedIndex:
 
     @pytest.fixture(scope="class", params=["n", "v", "f", "e"])
     def index(self, request, d3l_noisy):
-        return d3l_noisy._indexes()[request.param]
+        return d3l_noisy.indexes[request.param]
 
     def test_spark_bands_view_is_band_table(self, index):
         """``LshIndex.bands``, the Spark view kept for bucket statistics,
@@ -299,7 +299,7 @@ class TestBandingRecall:
             ).fetchdf()
         finally:
             con.close()
-        index = d3l_noisy._indexes()[evidence]
+        index = d3l_noisy.indexes[evidence]
         hits = lsh.lookup({evidence: index}, index.attr_ids, min_similarity=0)
         found = set(zip(hits["query_attr"], hits["attr_id"]))
         exact["found"] = [(a, b) in found for a, b in zip(exact["a"], exact["b"])]

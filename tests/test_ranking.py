@@ -3,6 +3,7 @@ import pandas as pd
 import pytest
 
 from repro.baselines.aurum import Aurum
+from repro.baselines.tus import TUS, semantic_sets, value_sets
 from repro.core import features
 from repro.core.distances import EVIDENCE_TYPES
 from repro.core.ranking import D3L
@@ -152,6 +153,12 @@ def test_search_many_rejects_duplicate_targets(request, clean_lake, system):
         request.getfixturevalue(system).search_many([target, target], 5)
 
 
+@pytest.mark.parametrize("evidence", ["x", "D_n", ""])
+def test_search_many_rejects_unknown_evidence(d3l_clean, clean_lake, evidence):
+    with pytest.raises(ValueError, match="evidence must be one of"):
+        d3l_clean.search_many([sorted(clean_lake.tables)[0]], 5, evidence=evidence)
+
+
 def _jobs_started(spark, group: str, fn) -> list[int]:
     """Ids of the Spark jobs ``fn()`` starts, run under job group ``group``."""
     sc = spark.sparkContext
@@ -172,6 +179,28 @@ def test_warm_search_starts_no_spark_job(request, spark, clean_lake, system):
     assert _jobs_started(spark, f"warm-{system}", lambda: searcher.search(target, 10)) == []
     # The same probe does see a job that runs.
     assert _jobs_started(spark, f"control-{system}", lambda: spark.range(3).count())
+
+
+#: Spark jobs of a warm TUS search of one target of ``clean_lake``, as
+#: measured: the query-time recomputation of the target's value and class
+#: sets alone (TUS's faithful per-query KB-mapping cost).
+TUS_SEARCH_JOBS = 4
+
+
+def test_warm_tus_search_starts_only_the_recomputation_jobs(spark, tus_clean, clean_lake):
+    """A warm TUS search runs the lookup and the exact refinement on the
+    driver: its only Spark jobs recompute the target's feature sets."""
+    target = sorted(clean_lake.tables)[3]
+    tus_clean.search(target, 10)
+    search = _jobs_started(spark, "warm-tus", lambda: tus_clean.search(target, 10))
+
+    def recompute():
+        target_cells = tus_clean.cells.where(tus_clean.cells["table"].isin([target]))
+        value_sets(target_cells).toPandas()
+        semantic_sets(target_cells, tus_clean.kb).toPandas()
+
+    assert len(search) == len(_jobs_started(spark, "tus-recompute", recompute))
+    assert len(search) <= TUS_SEARCH_JOBS
 
 
 def _fresh_cells(spark):
@@ -207,7 +236,7 @@ def test_build_job_budget(spark):
     try:
         assert len(jobs) <= BUILD_JOB_BUDGET
         assert materialize_jobs == []
-        for name, index in d3l._indexes().items():
+        for name, index in d3l.indexes.items():
             assert counts[f"bands_{name}"] == counts[f"sig_{name}"] * index.n_bands
         tsets = features.informative_tokens(cells).select("attr_id").distinct().count()
         assert counts["tset_sizes"] == counts["sig_v"] == tsets
@@ -215,11 +244,11 @@ def test_build_job_budget(spark):
         d3l.unpersist()
 
 
-@pytest.mark.parametrize("system", [D3L, Aurum], ids=["d3l", "aurum"])
+@pytest.mark.parametrize("system", [D3L, TUS, Aurum], ids=["d3l", "tus", "aurum"])
 def test_build_caches_only_the_attribute_profile(spark, system):
     """A build + ``materialize()`` over cached cells leaves one more cached
-    RDD, the attribute profile: the indexes, the extents and the attribute
-    map are held on the driver alone."""
+    RDD, the attribute profile: the indexes, the extents, TUS's feature sets
+    and the attribute map are held on the driver alone."""
     cells = _fresh_cells(spark)
     storage = spark.sparkContext._jsc.sc().getRDDStorageInfo
     before = len(storage())
